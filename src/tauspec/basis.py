@@ -35,7 +35,6 @@ __all__ = [
     "evaluate",
     "basis_row",
     "product",
-    "linearization_rows_by_recurrence",
 ]
 
 CHEBYSHEV = "ChebyshevT"
@@ -52,19 +51,36 @@ def _legendre_recurrence(j: int) -> tuple[float, float, float]:
     return ((j + 1.0) / (2 * j + 1.0), 0.0, j / (2 * j + 1.0))
 
 
-def _chebyshev_linearization_row(i: int, j: int):
-    # T_i * T_j = (T_{i+j} + T_{|i-j|}) / 2, halves merged when they meet
-    lo, hi = abs(i - j), i + j
-    if lo == hi:
-        return np.array([lo]), np.array([1.0])
-    return np.array([lo, hi]), np.array([0.5, 0.5])
-
-
 class _Family:
-    def __init__(self, name, recurrence, linearization_row=None):
+    """A registered family and everything derived from its recurrence.
+
+    ``abg`` holds alpha, beta and gamma as rows of one read-only array, and
+    ``blocks`` the reference-interval matrices whose leading blocks do not
+    depend on their size; both grow by doubling when a larger size is
+    asked for.  ``table`` is the shared linearization table.  All three
+    fill on first use.  Registering the name again replaces the object,
+    and with it every cache.
+    """
+
+    def __init__(self, name, recurrence):
         self.name = name
         self.recurrence = recurrence
-        self.linearization_row = linearization_row
+        self.abg = np.zeros((3, 0))
+        self.blocks: dict[str, np.ndarray] = {}
+        self.table: LinearizationTable | None = None
+
+    def coefficients(self, n: int):
+        have = self.abg.shape[1]
+        if n > have:
+            block = np.array([self.recurrence(j) for j in range(have, max(n, 2 * have))],
+                             dtype=float).T
+            zero = np.flatnonzero(block[0] == 0.0)
+            if zero.size:
+                raise ConfigurationError(
+                    f"family {self.name!r}: alpha_{have + zero[0]} is zero")
+            self.abg = np.concatenate([self.abg, block], axis=1)
+            self.abg.flags.writeable = False
+        return self.abg[0, :n], self.abg[1, :n], self.abg[2, :n]
 
 
 _FAMILIES: dict[str, _Family] = {}
@@ -73,27 +89,23 @@ _ALIASES: dict[str, str] = {}
 
 def register_family(name: str,
                     recurrence: Callable[[int], tuple[float, float, float]],
-                    linearization_row=None,
                     aliases: tuple[str, ...] = ()) -> None:
     """Register an orthogonal family by its recurrence provider.
 
     ``recurrence(j)`` must return ``(alpha_j, beta_j, gamma_j)`` with
-    ``alpha_j != 0`` for every j.  ``linearization_row(i, j)``, when
-    given, must return the nonzero positions and values of the expansion
-    of P_i * P_j; families without one fall back to the generic
-    recurrence in :func:`linearization_rows_by_recurrence`.
+    ``alpha_j != 0`` for every j.  Registering an existing name replaces
+    the family and drops everything cached from the old recurrence.
     """
     a0, _, _ = recurrence(0)
     if a0 == 0.0:
         raise ConfigurationError(f"family {name!r}: alpha_0 must be nonzero")
-    _FAMILIES[name] = _Family(name, recurrence, linearization_row)
+    _FAMILIES[name] = _Family(name, recurrence)
     _ALIASES[name.lower()] = name
     for alias in aliases:
         _ALIASES[alias.lower()] = name
 
 
-register_family(CHEBYSHEV, _chebyshev_recurrence, _chebyshev_linearization_row,
-                aliases=("chebyshev", "cheb"))
+register_family(CHEBYSHEV, _chebyshev_recurrence, aliases=("chebyshev", "cheb"))
 register_family(LEGENDRE, _legendre_recurrence, aliases=("legendre",))
 
 
@@ -135,14 +147,30 @@ class BasisSpec:
         return (a + b) / (a - b)
 
 
-def recurrence_coefficients(basis: BasisSpec, j: int) -> tuple[float, float, float]:
-    """Reference-domain recurrence triple (alpha_j, beta_j, gamma_j)."""
-    if j < 0:
-        raise ValueError(f"recurrence index must be nonnegative, got {j}")
-    triple = _FAMILIES[basis.family].recurrence(j)
-    if triple[0] == 0.0:
-        raise ConfigurationError(f"family {basis.family!r}: alpha_{j} is zero")
-    return triple
+def recurrence_coefficients(basis: BasisSpec, n: int):
+    """Reference-domain recurrence arrays (alpha, beta, gamma) for j < n.
+
+    The arrays are read-only views of the family's cache.
+    """
+    if n < 0:
+        raise ValueError(f"recurrence length must be nonnegative, got {n}")
+    return _FAMILIES[basis.family].coefficients(n)
+
+
+def cached_block(basis: BasisSpec, key: str, n: int, build) -> np.ndarray:
+    """Read-only leading n x n block of a matrix cached on the family.
+
+    ``build(basis, size)`` makes the matrix at a given size.  Its leading
+    blocks must not depend on that size, so one cached matrix serves
+    every smaller working size.
+    """
+    fam = _FAMILIES[basis.family]
+    mat = fam.blocks.get(key)
+    if mat is None or mat.shape[0] < n:
+        mat = build(basis, max(n, 0 if mat is None else 2 * mat.shape[0]))
+        mat.flags.writeable = False
+        fam.blocks[key] = mat
+    return mat[:n, :n]
 
 
 @dataclass
@@ -182,21 +210,24 @@ def _check_same_basis(p: Series, q: Series) -> None:
         raise ValueError(f"basis mismatch: {p.basis} vs {q.basis}")
 
 
+def _member_values(basis: BasisSpec, z, count: int):
+    """Yield P_0(z), ..., P_{count-1}(z) on the reference interval."""
+    alpha, beta, gamma = recurrence_coefficients(basis, count)
+    p_prev = np.zeros_like(z)
+    p_curr = np.ones_like(z)
+    for i in range(count):
+        yield p_curr
+        if i + 1 < count:
+            p_next = ((z - beta[i]) * p_curr - gamma[i] * p_prev) / alpha[i]
+            p_prev, p_curr = p_curr, p_next
+
+
 def basis_row(basis: BasisSpec, x: float, n: int) -> np.ndarray:
     """Values [P*_0(x), ..., P*_{n-1}(x)] of the shifted members at one point."""
     if n < 1:
         raise ValueError("need at least one basis member")
-    row = np.empty(n)
-    row[0] = 1.0
-    if n == 1:
-        return row
-    z = basis.c1 * float(x) + basis.c2
-    a0, b0, _ = recurrence_coefficients(basis, 0)
-    row[1] = (z - b0) / a0
-    for i in range(2, n):
-        a, b, g = recurrence_coefficients(basis, i - 1)
-        row[i] = ((z - b) * row[i - 1] - g * row[i - 2]) / a
-    return row
+    z = np.float64(basis.c1 * float(x) + basis.c2)
+    return np.fromiter(_member_values(basis, z, n), float, n)
 
 
 def evaluate(series: Series, xs):
@@ -219,68 +250,40 @@ def evaluate(series: Series, xs):
         warnings.warn(
             f"evaluation points outside [{a_dom}, {b_dom}]",
             ExtrapolationWarning, stacklevel=2)
-    z = basis.c1 * x + basis.c2
-    p_prev = np.zeros_like(z)
-    p_curr = np.ones_like(z)
-    total = coeffs[0] * p_curr
-    for i in range(1, coeffs.size):
-        a, b, g = recurrence_coefficients(basis, i - 1)
-        p_next = ((z - b) * p_curr - g * p_prev) / a
-        total = total + coeffs[i] * p_next
-        p_prev, p_curr = p_curr, p_next
+    members = _member_values(basis, basis.c1 * x + basis.c2, coeffs.size)
+    total = coeffs[0] * next(members)
+    for c, p in zip(coeffs[1:], members):
+        total = total + c * p
     return float(total[0]) if scalar else total
 
 
-def _mul_x_dense(recurrence, v: np.ndarray) -> np.ndarray:
-    """Coefficients of x * sum v_i P_i, one entry longer than v."""
-    n = v.size
-    out = np.zeros(n + 1)
-    for m in range(n + 1):
-        s = 0.0
-        if m >= 1:
-            s += recurrence(m - 1)[0] * v[m - 1]
-        if m < n:
-            s += recurrence(m)[1] * v[m]
-        if m + 1 < n:
-            s += recurrence(m + 1)[2] * v[m + 1]
-        out[m] = s
+def _mul_x_matrix(alpha, beta, gamma, a: np.ndarray) -> np.ndarray:
+    """Rows of the banded product (multiplication matrix) @ a, any width."""
+    n = a.shape[0]
+    out = beta[:n, None] * a
+    out[1:] += alpha[: n - 1, None] * a[:-1]
+    out[:-1] += gamma[1:n, None] * a[1:]
     return out
 
 
-def linearization_rows_by_recurrence(recurrence, i: int, j: int) -> np.ndarray:
-    """Expansion of P_i * P_j obtained from the recurrence alone.
+class LinearizationTable:
+    """Cached access to the coefficients of P_i * P_j = sum_k l(i,j,k) P_k.
 
-    Returns a dense vector of length i + j + 1.  Works for any family:
-    rows climb in i through
+    Rows come from the recurrence alone, so every family gets them:
+    for a fixed j the table climbs in k through
 
         P_{k+1} P_j = ((x - beta_k) P_k P_j - gamma_k P_{k-1} P_j) / alpha_k
 
-    with the product x * (P_k P_j) re-expanded by the same recurrence.
+    with x * (P_k P_j) re-expanded by the banded multiplication by x.  It
+    keeps the last two dense rows of each unfinished climb to resume it,
+    so a run of lookups costs one step per new row.
     """
-    rows = [np.zeros(j + 1)]
-    rows[0][j] = 1.0
-    if i == 0:
-        out = np.zeros(i + j + 1)
-        out[: j + 1] = rows[0]
-        return out
-    a0, b0, _ = recurrence(0)
-    rows.append((_mul_x_dense(recurrence, rows[0]) - b0 * np.append(rows[0], 0.0)) / a0)
-    for k in range(1, i):
-        a, b, g = recurrence(k)
-        prev = rows[k]
-        prev2 = np.append(rows[k - 1], [0.0, 0.0])
-        nxt = (_mul_x_dense(recurrence, prev) - b * np.append(prev, 0.0) - g * prev2) / a
-        rows.append(nxt)
-    return rows[i]
-
-
-class LinearizationTable:
-    """Cached access to the coefficients of P_i * P_j = sum_k l(i,j,k) P_k."""
 
     def __init__(self, family: str):
         self.family = resolve_family(family)
         self._fam = _FAMILIES[self.family]
         self._cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._climbs: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
 
     def row(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Nonzero positions and values of the expansion of P_i * P_j."""
@@ -288,42 +291,36 @@ class LinearizationTable:
             raise ValueError("linearization indices must be nonnegative")
         if i > j:
             i, j = j, i
-        key = (i, j)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        if self._fam.linearization_row is not None:
-            idx, vals = self._fam.linearization_row(i, j)
+        while (i, j) not in self._cache:
+            self._climb(j)
+        return self._cache[(i, j)]
+
+    def _climb(self, j: int) -> None:
+        """Store the next row P_k * P_j of the climb for this j."""
+        if j not in self._climbs:
+            k, prev, curr = 0, np.zeros(j), np.zeros(j + 1)
+            curr[j] = 1.0
         else:
-            dense = linearization_rows_by_recurrence(self._fam.recurrence, i, j)
-            idx = np.nonzero(dense)[0]
-            vals = dense[idx]
-        idx = np.asarray(idx, dtype=int)
-        vals = np.asarray(vals, dtype=float)
-        self._cache[key] = (idx, vals)
-        return idx, vals
-
-    def coefficient(self, i: int, j: int, k: int) -> float:
-        """The single value l(i, j, k); zero outside the stored support."""
-        if k < 0:
-            return 0.0
-        idx, vals = self.row(i, j)
-        pos = np.searchsorted(idx, k)
-        if pos < idx.size and idx[pos] == k:
-            return float(vals[pos])
-        return 0.0
-
-
-_TABLES: dict[str, LinearizationTable] = {}
+            k, prev, curr = self._climbs[j]
+            alpha, beta, gamma = self._fam.coefficients(k + j + 2)
+            wide = np.append(curr, 0.0)
+            nxt = _mul_x_matrix(alpha, beta, gamma, wide[:, None])[:, 0]
+            nxt = (nxt - beta[k] * wide - gamma[k] * np.append(prev, [0.0, 0.0])) / alpha[k]
+            k, prev, curr = k + 1, curr, nxt
+        if k < j:
+            self._climbs[j] = (k, prev, curr)
+        else:  # rows past k = j are never asked for
+            self._climbs.pop(j, None)
+        idx = np.nonzero(curr)[0]
+        self._cache[(k, j)] = (idx, curr[idx])
 
 
 def linearization_table(family: str) -> LinearizationTable:
-    """Shared per-family table so repeated products reuse cached rows."""
-    name = resolve_family(family)
-    tbl = _TABLES.get(name)
-    if tbl is None:
-        tbl = _TABLES[name] = LinearizationTable(name)
-    return tbl
+    """The family's shared table, so repeated products reuse cached rows."""
+    fam = _FAMILIES[resolve_family(family)]
+    if fam.table is None:
+        fam.table = LinearizationTable(fam.name)
+    return fam.table
 
 
 def product(p: Series, q: Series) -> Series:

@@ -15,25 +15,25 @@ to the shifted multiplication matrix.
 
 from __future__ import annotations
 
-import enum
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
 from .basis import (
     BasisSpec,
     Series,
+    _member_values,
+    _mul_x_matrix,
     basis_row,
+    cached_block,
+    evaluate,
     product,
     recurrence_coefficients,
 )
 from .errors import TruncationWarning
 
 __all__ = [
-    "Role",
-    "OperatorMatrix",
     "KernelPoly",
     "multiplication_matrix",
     "multiplication_matrix_power",
@@ -41,50 +41,18 @@ __all__ = [
     "power_to_basis_matrix",
     "differentiation_matrix",
     "integration_matrix",
+    "calculus_powers",
     "polynomial_multiplication_matrix",
-    "differential_operator",
-    "integral_operator",
     "volterra_operator",
     "fredholm_operator",
     "from_power_series",
     "kernel_from_power",
     "series_derivative",
     "series_antiderivative",
+    "apply_order",
     "volterra_apply",
     "fredholm_apply",
 ]
-
-
-class Role(enum.Enum):
-    MULTIPLY = "multiply"
-    DIFFERENTIATE = "differentiate"
-    INTEGRATE = "integrate"
-    BASIS_TO_POWER = "basis_to_power"
-    POWER_TO_BASIS = "power_to_basis"
-    DIFFERENTIAL = "differential"
-    INTEGRAL = "integral"
-    VOLTERRA = "volterra"
-    FREDHOLM = "fredholm"
-    COMPOSITE = "composite"
-
-
-@dataclass
-class OperatorMatrix:
-    """A dense operator on coefficient vectors, tagged with its role."""
-
-    basis: BasisSpec
-    entries: np.ndarray
-    role: Role = Role.COMPOSITE
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("operator entries must be a 2-D array")
-        self.entries = arr
-
-    @property
-    def shape(self):
-        return self.entries.shape
 
 
 @dataclass
@@ -106,12 +74,6 @@ class KernelPoly:
         self.coeffs = arr
 
 
-def _recurrence_arrays(basis: BasisSpec, n: int):
-    """(alpha, beta, gamma) for j = 0..n-1 as arrays."""
-    trip = np.array([recurrence_coefficients(basis, j) for j in range(n)])
-    return trip[:, 0], trip[:, 1], trip[:, 2]
-
-
 def _check_size(n: int) -> int:
     n = int(n)
     if n < 1:
@@ -119,28 +81,12 @@ def _check_size(n: int) -> int:
     return n
 
 
-def multiplication_matrix(basis: BasisSpec, n: int) -> OperatorMatrix:
+def multiplication_matrix(basis: BasisSpec, n: int) -> np.ndarray:
     """Tridiagonal matrix of multiplication by x on the reference interval."""
-    n = _check_size(n)
-    alpha, beta, gamma = _recurrence_arrays(basis, n)
-    m = np.zeros((n, n))
-    idx = np.arange(n)
-    m[idx, idx] = beta
-    m[idx[1:], idx[:-1]] = alpha[:-1]
-    m[idx[:-1], idx[1:]] = gamma[1:]
-    return OperatorMatrix(basis, m, Role.MULTIPLY)
+    return multiplication_matrix_power(basis, 1, n)
 
 
-def _mul_x_matrix(alpha, beta, gamma, a: np.ndarray) -> np.ndarray:
-    """Rows of the banded product (multiplication matrix) @ a, any width."""
-    n = a.shape[0]
-    out = beta[:n, None] * a
-    out[1:] += alpha[: n - 1, None] * a[:-1]
-    out[:-1] += gamma[1:n, None] * a[1:]
-    return out
-
-
-def multiplication_matrix_power(basis: BasisSpec, k: int, n: int) -> OperatorMatrix:
+def multiplication_matrix_power(basis: BasisSpec, k: int, n: int) -> np.ndarray:
     """k-th power of the multiplication matrix via the banded row update.
 
     Never forms a dense matrix product; each step combines at most three
@@ -149,14 +95,14 @@ def multiplication_matrix_power(basis: BasisSpec, k: int, n: int) -> OperatorMat
     n = _check_size(n)
     if k < 0:
         raise ValueError("power must be nonnegative")
-    alpha, beta, gamma = _recurrence_arrays(basis, n)
+    alpha, beta, gamma = recurrence_coefficients(basis, n)
     acc = np.eye(n)
     for _ in range(k):
         acc = _mul_x_matrix(alpha, beta, gamma, acc)
-    return OperatorMatrix(basis, acc, Role.MULTIPLY)
+    return acc
 
 
-def basis_to_power_matrix(basis: BasisSpec, n: int) -> OperatorMatrix:
+def basis_to_power_matrix(basis: BasisSpec, n: int) -> np.ndarray:
     """Columns hold the power-basis coefficients of each shifted member.
 
     Column j satisfies P*_j(x) = sum_i V[i, j] x^i on the working
@@ -164,22 +110,22 @@ def basis_to_power_matrix(basis: BasisSpec, n: int) -> OperatorMatrix:
     """
     n = _check_size(n)
     c1, c2 = basis.c1, basis.c2
+    alpha, beta, gamma = recurrence_coefficients(basis, n)
     v = np.zeros((n, n))
     v[0, 0] = 1.0
     if n == 1:
-        return OperatorMatrix(basis, v, Role.BASIS_TO_POWER)
-    a0, b0, _ = recurrence_coefficients(basis, 0)
-    v[0, 1] = (c2 - b0) / a0
-    v[1, 1] = c1 / a0
+        return v
+    v[0, 1] = (c2 - beta[0]) / alpha[0]
+    v[1, 1] = c1 / alpha[0]
     for j in range(1, n - 1):
-        a, b, g = recurrence_coefficients(basis, j)
         shifted = np.zeros(n)
         shifted[1:] = v[:-1, j]
-        v[:, j + 1] = (c1 * shifted + (c2 - b) * v[:, j] - g * v[:, j - 1]) / a
-    return OperatorMatrix(basis, v, Role.BASIS_TO_POWER)
+        v[:, j + 1] = (c1 * shifted + (c2 - beta[j]) * v[:, j]
+                       - gamma[j] * v[:, j - 1]) / alpha[j]
+    return v
 
 
-def power_to_basis_matrix(basis: BasisSpec, n: int) -> OperatorMatrix:
+def power_to_basis_matrix(basis: BasisSpec, n: int) -> np.ndarray:
     """Columns expand the monomials on the working interval in the basis.
 
     Column j + 1 comes from column j through the multiplication matrix of
@@ -188,7 +134,7 @@ def power_to_basis_matrix(basis: BasisSpec, n: int) -> OperatorMatrix:
     """
     n = _check_size(n)
     c1, c2 = basis.c1, basis.c2
-    alpha, beta, gamma = _recurrence_arrays(basis, n)
+    alpha, beta, gamma = recurrence_coefficients(basis, n)
     alpha_x = alpha / c1
     beta_x = (beta - c2) / c1
     gamma_x = gamma / c1
@@ -196,23 +142,14 @@ def power_to_basis_matrix(basis: BasisSpec, n: int) -> OperatorMatrix:
     w[0, 0] = 1.0
     for j in range(n - 1):
         w[:, j + 1] = _mul_x_matrix(alpha_x, beta_x, gamma_x, w[:, j : j + 1])[:, 0]
-    return OperatorMatrix(basis, w, Role.POWER_TO_BASIS)
+    return w
 
 
-def differentiation_matrix(basis: BasisSpec, n: int) -> OperatorMatrix:
-    """Strictly upper triangular matrix of d/dx on the reference interval.
-
-    Column j + 1 follows from differentiating the recurrence:
-
-        P_j + x P'_j = alpha_j P'_{j+1} + beta_j P'_j + gamma_j P'_{j-1}
-
-    which determines each derivative column from the two before it.
-    """
-    n = _check_size(n)
-    alpha, beta, gamma = _recurrence_arrays(basis, n)
+def _build_differentiation(basis: BasisSpec, n: int) -> np.ndarray:
+    alpha, beta, gamma = recurrence_coefficients(basis, n)
     d = np.zeros((n, n))
     if n == 1:
-        return OperatorMatrix(basis, d, Role.DIFFERENTIATE)
+        return d
     d[0, 1] = 1.0 / alpha[0]
     for j in range(1, n - 1):
         col = _mul_x_matrix(alpha, beta, gamma, d[:, j : j + 1])[:, 0]
@@ -220,24 +157,44 @@ def differentiation_matrix(basis: BasisSpec, n: int) -> OperatorMatrix:
         col -= beta[j] * d[:, j]
         col -= gamma[j] * d[:, j - 1]
         d[:, j + 1] = col / alpha[j]
-    return OperatorMatrix(basis, d, Role.DIFFERENTIATE)
+    return d
 
 
-def _reference_values_at_zero(basis: BasisSpec, n: int) -> np.ndarray:
-    """P_k(0) on the reference interval for k = 0..n-1."""
-    vals = np.empty(n)
-    vals[0] = 1.0
-    if n == 1:
-        return vals
-    a0, b0, _ = recurrence_coefficients(basis, 0)
-    vals[1] = -b0 / a0
-    for k in range(2, n):
-        a, b, g = recurrence_coefficients(basis, k - 1)
-        vals[k] = (-b * vals[k - 1] - g * vals[k - 2]) / a
-    return vals
+def differentiation_matrix(basis: BasisSpec, n: int) -> np.ndarray:
+    """Strictly upper triangular matrix of d/dx on the reference interval.
+
+    Column j + 1 follows from differentiating the recurrence:
+
+        P_j + x P'_j = alpha_j P'_{j+1} + beta_j P'_j + gamma_j P'_{j-1}
+
+    which determines each derivative column from the two before it.  The
+    result is a read-only block of the matrix cached on the family.
+    """
+    return cached_block(basis, "differentiation", _check_size(n), _build_differentiation)
 
 
-def integration_matrix(basis: BasisSpec, n: int) -> OperatorMatrix:
+def _build_integration(basis: BasisSpec, n: int) -> np.ndarray:
+    # one extra index so the back substitution sees full derivative data;
+    # built here, not read from the cache, so the cache does not double for it
+    dn = _build_differentiation(basis, n + 1)
+    alpha = recurrence_coefficients(basis, n)[0]
+    # P_k at the reference origin; z = -0.0 keeps z - beta_k equal to
+    # -beta_k bit for bit, signed zeros included
+    p_zero = np.fromiter(_member_values(basis, np.float64(-0.0), n + 1), float, n + 1)
+    out = np.zeros((n, n))
+    for j in range(n):
+        col = np.zeros(j + 2)
+        col[j + 1] = alpha[j] / (j + 1)
+        for i in range(j - 1, -1, -1):
+            acc = dn[i, i + 2 : j + 2] @ col[i + 2 :]
+            col[i + 1] = -acc / dn[i, i + 1]
+        col[0] = -(col[1:] @ p_zero[1 : j + 2])
+        keep = min(n, j + 2)
+        out[:keep, j] = col[:keep]
+    return out
+
+
+def integration_matrix(basis: BasisSpec, n: int) -> np.ndarray:
     """Antiderivative matrix on the reference interval.
 
     Column j expands the primitive of P_j that vanishes at the reference
@@ -246,33 +203,59 @@ def integration_matrix(basis: BasisSpec, n: int) -> OperatorMatrix:
     differentiation matrix sends the column back to e_j, and the free
     constant is fixed by the value at zero.  The primitive of the last
     member needs one coefficient beyond the working size; that entry is
-    dropped, which is the only truncation in the construction.
+    dropped, which is the only truncation in the construction.  The
+    result is a read-only block of the matrix cached on the family.
+    """
+    return cached_block(basis, "integration", _check_size(n), _build_integration)
+
+
+def calculus_powers(basis: BasisSpec, n: int):
+    """Powers of d/dx and of the antiderivative on the working interval.
+
+    Returns ``power(order)``: d^order/dx^order for order >= 0 and the
+    antiderivative applied -order times below zero, each at working size
+    n as the one-step matrix times the power one order lower.  Powers are
+    kept for the life of the returned function.
     """
     n = _check_size(n)
-    # one extra index so the back substitution sees full derivative data
-    dn = differentiation_matrix(basis, n + 1).entries
-    p_zero = _reference_values_at_zero(basis, n + 1)
-    out = np.zeros((n, n))
-    for j in range(n):
-        a_j = recurrence_coefficients(basis, j)[0]
-        col = np.zeros(j + 2)
-        col[j + 1] = a_j / (j + 1)
-        for i in range(j - 1, -1, -1):
-            acc = dn[i, i + 2 : j + 2] @ col[i + 2 :]
-            col[i + 1] = -acc / dn[i, i + 1]
-        col[0] = -(col[1:] @ p_zero[1 : j + 2])
-        keep = min(n, j + 2)
-        out[:keep, j] = col[:keep]
-    return OperatorMatrix(basis, out, Role.INTEGRATE)
+    powers = {0: np.eye(n)}
+
+    # a loop, not recursion: a closure that calls itself is a reference
+    # cycle, and would keep its n x n powers until the cyclic collector ran
+    def power(order: int) -> np.ndarray:
+        sign = 1 if order > 0 else -1
+        for k in range(sign, order + sign, sign):
+            if k not in powers:
+                step = (basis.c1 * differentiation_matrix(basis, n) if sign > 0
+                        else integration_matrix(basis, n) / basis.c1)
+                powers[k] = step @ powers[k - sign]
+        return powers[order]
+
+    return power
 
 
-def polynomial_multiplication_matrix(basis: BasisSpec, coeffs, n: int) -> OperatorMatrix:
+def _basis_member_matrices(basis: BasisSpec, n: int, count: int):
+    """Yield P_j evaluated at the multiplication matrix for j = 0..count-1."""
+    alpha, beta, gamma = recurrence_coefficients(basis, n)
+    prev = np.zeros((n, n))
+    curr = np.eye(n)
+    for j in range(count):
+        yield curr
+        if j + 1 < count:
+            nxt = _mul_x_matrix(alpha, beta, gamma, curr)
+            nxt -= beta[j] * curr
+            nxt -= gamma[j] * prev
+            nxt /= alpha[j]
+            prev, curr = curr, nxt
+
+
+def polynomial_multiplication_matrix(basis: BasisSpec, coeffs, n: int) -> np.ndarray:
     """Matrix of multiplication by a polynomial given in the shifted basis.
 
     ``coeffs`` are the coefficients of the multiplier on the working
     interval.  The matrix is the coefficient-weighted sum of basis
-    members evaluated at the multiplication matrix, accumulated through
-    the same three term recurrence, truncated to the working size.
+    members evaluated at the multiplication matrix, truncated to the
+    working size.
     """
     n = _check_size(n)
     p = np.atleast_1d(np.asarray(coeffs, dtype=float))
@@ -281,78 +264,11 @@ def polynomial_multiplication_matrix(basis: BasisSpec, coeffs, n: int) -> Operat
     if p.size > n:
         raise ValueError(
             f"coefficient polynomial has {p.size} coefficients, working size is {n}")
-    alpha, beta, gamma = _recurrence_arrays(basis, n)
-    eye = np.eye(n)
-    acc = p[0] * eye
-    if p.size == 1:
-        return OperatorMatrix(basis, acc, Role.MULTIPLY)
-    prev = eye
-    curr = (multiplication_matrix(basis, n).entries - beta[0] * eye) / alpha[0]
-    acc = acc + p[1] * curr
-    for j in range(1, p.size - 1):
-        nxt = _mul_x_matrix(alpha, beta, gamma, curr)
-        nxt -= beta[j] * curr
-        nxt -= gamma[j] * prev
-        nxt /= alpha[j]
-        acc = acc + p[j + 1] * nxt
-        prev, curr = curr, nxt
-    return OperatorMatrix(basis, acc, Role.MULTIPLY)
-
-
-def _coeff_poly_items(coeff_polys) -> list[tuple[int, np.ndarray]]:
-    if isinstance(coeff_polys, Mapping):
-        items = [(int(k), np.atleast_1d(np.asarray(v, dtype=float)))
-                 for k, v in coeff_polys.items() if v is not None]
-    elif isinstance(coeff_polys, Sequence) and not isinstance(coeff_polys, (str, bytes)):
-        items = [(k, np.atleast_1d(np.asarray(v, dtype=float)))
-                 for k, v in enumerate(coeff_polys) if v is not None]
-    else:
-        raise TypeError("coefficient polynomials must be a mapping or sequence")
-    return sorted(items)
-
-
-def differential_operator(basis: BasisSpec, coeff_polys, n: int) -> OperatorMatrix:
-    """Operator of sum_k p_k(x) d^k/dx^k on the working interval.
-
-    ``coeff_polys`` maps derivative order k >= 0 to the shifted-basis
-    coefficients of p_k (a sequence is read as orders 0, 1, ...).
-    """
-    n = _check_size(n)
-    items = _coeff_poly_items(coeff_polys)
-    if not items:
-        raise ValueError("no coefficient polynomials given")
-    if items[0][0] < 0:
-        raise ValueError("derivative orders must be nonnegative")
-    cn = basis.c1 * differentiation_matrix(basis, n).entries
-    acc = np.zeros((n, n))
-    power = np.eye(n)
-    order = 0
-    for k, p in items:
-        while order < k:
-            power = cn @ power
-            order += 1
-        acc += polynomial_multiplication_matrix(basis, p, n).entries @ power
-    return OperatorMatrix(basis, acc, Role.DIFFERENTIAL)
-
-
-def integral_operator(basis: BasisSpec, coeff_polys, n: int) -> OperatorMatrix:
-    """Operator of sum_l p_l(x) (iterated antiderivative)^l, orders l >= 1."""
-    n = _check_size(n)
-    items = _coeff_poly_items(coeff_polys)
-    if not items:
-        raise ValueError("no coefficient polynomials given")
-    if items[0][0] < 1:
-        raise ValueError("integral orders must be at least 1")
-    os = integration_matrix(basis, n).entries / basis.c1
-    acc = np.zeros((n, n))
-    power = np.eye(n)
-    order = 0
-    for l, p in items:
-        while order < l:
-            power = os @ power
-            order += 1
-        acc += polynomial_multiplication_matrix(basis, p, n).entries @ power
-    return OperatorMatrix(basis, acc, Role.INTEGRAL)
+    members = _basis_member_matrices(basis, n, p.size)
+    acc = p[0] * next(members)
+    for c, pj in zip(p[1:], members):
+        acc = acc + c * pj
+    return acc
 
 
 def _clipped_kernel(kernel: KernelPoly, n: int) -> np.ndarray:
@@ -365,25 +281,7 @@ def _clipped_kernel(kernel: KernelPoly, n: int) -> np.ndarray:
     return k
 
 
-def _basis_member_matrices(basis: BasisSpec, n: int, count: int):
-    """Yield P_j evaluated at the multiplication matrix for j = 0..count-1."""
-    alpha, beta, gamma = _recurrence_arrays(basis, n)
-    eye = np.eye(n)
-    prev = None
-    curr = eye
-    for j in range(count):
-        yield curr
-        if j == 0:
-            nxt = (multiplication_matrix(basis, n).entries - beta[0] * eye) / alpha[0]
-        else:
-            nxt = _mul_x_matrix(alpha, beta, gamma, curr)
-            nxt -= beta[j] * curr
-            nxt -= gamma[j] * prev
-            nxt /= alpha[j]
-        prev, curr = curr, nxt
-
-
-def volterra_operator(kernel: KernelPoly, lower: float, n: int) -> OperatorMatrix:
+def volterra_operator(kernel: KernelPoly, lower: float, n: int) -> np.ndarray:
     """Operator of y -> integral from ``lower`` to x of K(x, t) y(t) dt.
 
     Assembled per kernel column: the t dependence acts through basis
@@ -395,7 +293,7 @@ def volterra_operator(kernel: KernelPoly, lower: float, n: int) -> OperatorMatri
     n = _check_size(n)
     k = _clipped_kernel(kernel, n)
     nx, nt = k.shape
-    os = integration_matrix(basis, n).entries / basis.c1
+    os = integration_matrix(basis, n) / basis.c1
     row_lo = basis_row(basis, lower, n)
     acc = np.zeros((n, n))
     for j, pj in enumerate(_basis_member_matrices(basis, n, nt)):
@@ -403,13 +301,13 @@ def volterra_operator(kernel: KernelPoly, lower: float, n: int) -> OperatorMatri
         col[:nx] = k[:, j]
         if not col.any():
             continue
-        b = polynomial_multiplication_matrix(basis, k[:, j], n).entries
+        b = polynomial_multiplication_matrix(basis, k[:, j], n)
         b = b - np.outer(col, row_lo)
         acc += b @ os @ pj
-    return OperatorMatrix(basis, acc, Role.VOLTERRA)
+    return acc
 
 
-def fredholm_operator(kernel: KernelPoly, n: int) -> OperatorMatrix:
+def fredholm_operator(kernel: KernelPoly, n: int) -> np.ndarray:
     """Operator of y -> integral over the whole interval of K(x, t) y(t) dt.
 
     The result of the integral is a polynomial in x of the kernel's x
@@ -420,13 +318,13 @@ def fredholm_operator(kernel: KernelPoly, n: int) -> OperatorMatrix:
     k = _clipped_kernel(kernel, n)
     nx, nt = k.shape
     a_dom, b_dom = basis.domain
-    os = integration_matrix(basis, n).entries / basis.c1
+    os = integration_matrix(basis, n) / basis.c1
     r = (basis_row(basis, b_dom, n) - basis_row(basis, a_dom, n)) @ os
     acc = np.zeros((n, n))
     for j, pj in enumerate(_basis_member_matrices(basis, n, nt)):
         v = r @ pj
         acc[:nx] += np.outer(k[:, j], v)
-    return OperatorMatrix(basis, acc, Role.FREDHOLM)
+    return acc
 
 
 def from_power_series(basis: BasisSpec, power_coeffs) -> np.ndarray:
@@ -434,7 +332,7 @@ def from_power_series(basis: BasisSpec, power_coeffs) -> np.ndarray:
     c = np.atleast_1d(np.asarray(power_coeffs, dtype=float))
     if c.ndim != 1 or c.size == 0:
         raise ValueError("power coefficients must be a nonempty 1-D array")
-    w = power_to_basis_matrix(basis, c.size).entries
+    w = power_to_basis_matrix(basis, c.size)
     return w @ c
 
 
@@ -446,15 +344,15 @@ def kernel_from_power(basis: BasisSpec, power_matrix) -> KernelPoly:
     kx = np.atleast_2d(np.asarray(power_matrix, dtype=float))
     if kx.size == 0:
         raise ValueError("kernel power matrix must be nonempty")
-    wx = power_to_basis_matrix(basis, kx.shape[0]).entries
-    wt = power_to_basis_matrix(basis, kx.shape[1]).entries
+    wx = power_to_basis_matrix(basis, kx.shape[0])
+    wt = power_to_basis_matrix(basis, kx.shape[1])
     return KernelPoly(basis, wx @ kx @ wt.T)
 
 
 def series_derivative(series: Series) -> Series:
     """Exact derivative of a Series on its working interval."""
     n = series.coeffs.size
-    dn = differentiation_matrix(series.basis, n).entries
+    dn = differentiation_matrix(series.basis, n)
     return Series(series.basis, series.basis.c1 * (dn @ series.coeffs))
 
 
@@ -466,10 +364,19 @@ def series_antiderivative(series: Series) -> Series:
     value at their own anchor point.
     """
     n = series.coeffs.size
-    om = integration_matrix(series.basis, n + 1).entries
+    om = integration_matrix(series.basis, n + 1)
     padded = np.zeros(n + 1)
     padded[:n] = series.coeffs
     return Series(series.basis, (om @ padded) / series.basis.c1)
+
+
+def apply_order(series: Series, order: int) -> Series:
+    """Differentiate ``order`` times, or integrate ``-order`` times if negative."""
+    for _ in range(order):
+        series = series_derivative(series)
+    for _ in range(-order):
+        series = series_antiderivative(series)
+    return series
 
 
 def volterra_apply(kernel: KernelPoly, lower: float, series: Series) -> Series:
@@ -481,8 +388,6 @@ def volterra_apply(kernel: KernelPoly, lower: float, series: Series) -> Series:
     basis = kernel.basis
     k = kernel.coeffs
     nx = k.shape[0]
-    from .basis import evaluate
-
     pieces = []
     for i in range(nx):
         if not k[i, :].any():
@@ -509,8 +414,6 @@ def fredholm_apply(kernel: KernelPoly, series: Series) -> Series:
     k = kernel.coeffs
     nx = k.shape[0]
     a_dom, b_dom = basis.domain
-    from .basis import evaluate
-
     out = np.zeros(nx)
     for i in range(nx):
         if not k[i, :].any():

@@ -85,6 +85,11 @@ class LinearTermSpec:
         if self.kind in (Kind.VOLTERRA, Kind.FREDHOLM) and self.kernel is None:
             raise ValidationError(f"{self.kind.value} term needs a kernel")
 
+    @property
+    def inner_order(self) -> int:
+        """Order applied to the unknown: d/dx counts up, antiderivatives down."""
+        return -self.order if self.kind is Kind.INTEGRAL else self.order
+
 
 @dataclass(frozen=True)
 class ProductTermSpec:
@@ -580,14 +585,6 @@ def augment_variables(spec: ProblemSpec) -> ProblemSpec:
 # linearization around a frozen iterate
 
 
-def _apply_order(s: Series, order: int) -> Series:
-    for _ in range(order):
-        s = ops.series_derivative(s)
-    for _ in range(-order):
-        s = ops.series_antiderivative(s)
-    return s
-
-
 def _truncated(coeffs: np.ndarray, n: int, what: str) -> np.ndarray:
     if coeffs.size <= n:
         return coeffs
@@ -637,7 +634,7 @@ def linearize(spec: ProblemSpec, iterate: Mapping) -> ProblemSpec:
         rhs[: len(eq.rhs)] = eq.rhs
         for term in eq.products:
             frozen = [
-                _apply_order(iterate[v], o) for v, o in term.factors]
+                ops.apply_order(iterate[v], o) for v, o in term.factors]
             p = len(term.factors)
             for i, (v, o) in enumerate(term.factors):
                 others = [frozen[j] for j in range(p) if j != i]
@@ -714,14 +711,10 @@ def initial_iterate(spec: ProblemSpec, policy=None) -> dict:
             continue
         rows = np.zeros((q, q))
         vals = np.zeros(q)
-        dmat = ops.differentiation_matrix(basis, q).entries * basis.c1
+        power = ops.calculus_powers(basis, q)
         for r, cond in enumerate(conds):
             for t in cond.terms:
-                row = basis_row(basis, t.point, q)
-                mat = np.eye(q)
-                for _ in range(t.order):
-                    mat = dmat @ mat
-                rows[r] += t.weight * (row @ mat)
+                rows[r] += t.weight * (basis_row(basis, t.point, q) @ power(t.order))
             vals[r] = cond.value
         try:
             coeffs = np.linalg.solve(rows, vals)

@@ -27,6 +27,7 @@ from .basis import Series, basis_row, evaluate, product
 from .errors import (
     ConvergenceWarning,
     SingularSystemError,
+    TauError,
     ValidationError,
 )
 from . import operators as ops
@@ -117,57 +118,21 @@ def _attribution(spec: ProblemSpec) -> list[int]:
     return out
 
 
-class _OperatorCache:
-    """Per-assembly store of calculus matrices and their powers."""
-
-    def __init__(self, basis, n: int):
-        self.basis = basis
-        self.n = n
-        self._store: dict = {}
-
-    def deriv_power(self, k: int) -> np.ndarray:
-        key = ("d", k)
-        if key not in self._store:
-            if k == 0:
-                self._store[key] = np.eye(self.n)
-            else:
-                cn = self.basis.c1 * ops.differentiation_matrix(self.basis, self.n).entries
-                self._store[key] = cn @ self.deriv_power(k - 1)
-        return self._store[key]
-
-    def integral_power(self, l: int) -> np.ndarray:
-        key = ("i", l)
-        if key not in self._store:
-            if l == 0:
-                self._store[key] = np.eye(self.n)
-            else:
-                osm = ops.integration_matrix(self.basis, self.n).entries / self.basis.c1
-                self._store[key] = osm @ self.integral_power(l - 1)
-        return self._store[key]
-
-    def inner_power(self, order: int) -> np.ndarray:
-        return self.deriv_power(order) if order >= 0 else self.integral_power(-order)
-
-
-def _term_matrix(term, cache: _OperatorCache, where: str) -> np.ndarray:
-    basis, n = cache.basis, cache.n
+def _term_matrix(term, basis, n: int, power, where: str) -> np.ndarray:
     try:
-        outer = ops.polynomial_multiplication_matrix(basis, term.coeff, n).entries
+        outer = ops.polynomial_multiplication_matrix(basis, term.coeff, n)
     except ValueError as exc:
         raise ValidationError(
             f"{exc}; increase n to fit the coefficient polynomial", where) from None
-    if term.kind is Kind.DERIVATIVE:
-        core = cache.deriv_power(term.order)
-    elif term.kind is Kind.INTEGRAL:
-        core = cache.integral_power(term.order)
-    elif term.kind is Kind.VOLTERRA:
-        core = ops.volterra_operator(term.kernel, term.lower, n).entries
-        if term.order:
-            core = core @ cache.inner_power(term.order)
+    if term.kind in (Kind.DERIVATIVE, Kind.INTEGRAL):
+        core = power(term.inner_order)
     else:
-        core = ops.fredholm_operator(term.kernel, n).entries
+        if term.kind is Kind.VOLTERRA:
+            core = ops.volterra_operator(term.kernel, term.lower, n)
+        else:
+            core = ops.fredholm_operator(term.kernel, n)
         if term.order:
-            core = core @ cache.inner_power(term.order)
+            core = core @ power(term.order)
     if len(term.coeff) == 1 and term.coeff[0] == 1.0:
         return core
     return outer @ core
@@ -194,7 +159,7 @@ def assemble(spec: ProblemSpec, n: int | None = None) -> TauSystem:
         if nu > n:
             raise ValidationError(
                 f"equation {e} is charged {nu} conditions but only has {n} rows")
-    cache = _OperatorCache(basis, n)
+    power = ops.calculus_powers(basis, n)
     size = m * n
     a = np.zeros((size, size))
     b = np.zeros(size)
@@ -202,7 +167,7 @@ def assemble(spec: ProblemSpec, n: int | None = None) -> TauSystem:
     r = 0
     for ci, cond in enumerate(spec.conditions):
         for t in cond.terms:
-            row = basis_row(basis, t.point, n) @ cache.deriv_power(t.order)
+            row = basis_row(basis, t.point, n) @ power(t.order)
             a[r, col_of[t.var]] += t.weight * row
         b[r] = cond.value
         row_map.append(("condition", ci))
@@ -211,7 +176,7 @@ def assemble(spec: ProblemSpec, n: int | None = None) -> TauSystem:
         keep = n - nu_e[e]
         blocks: dict = {}
         for ti, term in enumerate(eq.linear):
-            mat = _term_matrix(term, cache, f"equations[{e}].terms[{ti}]")
+            mat = _term_matrix(term, basis, n, power, f"equations[{e}].terms[{ti}]")
             if term.var in blocks:
                 blocks[term.var] = blocks[term.var] + mat
             else:
@@ -263,22 +228,11 @@ def _split(system_vars, n: int, basis, vec: np.ndarray) -> dict:
 
 
 def _apply_linear_term_exact(term, iterate: Mapping) -> Series:
-    s = iterate[term.var]
-    if term.kind is Kind.DERIVATIVE:
-        for _ in range(term.order):
-            s = ops.series_derivative(s)
-    elif term.kind is Kind.INTEGRAL:
-        for _ in range(term.order):
-            s = ops.series_antiderivative(s)
-    else:
-        for _ in range(max(term.order, 0)):
-            s = ops.series_derivative(s)
-        for _ in range(max(-term.order, 0)):
-            s = ops.series_antiderivative(s)
-        if term.kind is Kind.VOLTERRA:
-            s = ops.volterra_apply(term.kernel, term.lower, s)
-        else:
-            s = ops.fredholm_apply(term.kernel, s)
+    s = ops.apply_order(iterate[term.var], term.inner_order)
+    if term.kind is Kind.VOLTERRA:
+        s = ops.volterra_apply(term.kernel, term.lower, s)
+    elif term.kind is Kind.FREDHOLM:
+        s = ops.fredholm_apply(term.kernel, s)
     coeff = np.asarray(term.coeff)
     if coeff.size == 1 and coeff[0] == 1.0:
         return s
@@ -288,11 +242,7 @@ def _apply_linear_term_exact(term, iterate: Mapping) -> Series:
 def _apply_product_term_exact(term, iterate: Mapping) -> Series:
     acc = None
     for v, o in term.factors:
-        s = iterate[v]
-        for _ in range(max(o, 0)):
-            s = ops.series_derivative(s)
-        for _ in range(max(-o, 0)):
-            s = ops.series_antiderivative(s)
+        s = ops.apply_order(iterate[v], o)
         acc = s if acc is None else product(acc, s)
     if term.enclosure == "volterra":
         acc = ops.volterra_apply(term.kernel, term.lower, acc)
@@ -340,10 +290,7 @@ def condition_defects(spec: ProblemSpec, iterate: Mapping) -> np.ndarray:
     for i, cond in enumerate(spec.conditions):
         acc = 0.0
         for t in cond.terms:
-            s = iterate[t.var]
-            for _ in range(t.order):
-                s = ops.series_derivative(s)
-            acc += t.weight * evaluate(s, t.point)
+            acc += t.weight * evaluate(ops.apply_order(iterate[t.var], t.order), t.point)
         out[i] = abs(acc - cond.value)
     return out
 
@@ -501,7 +448,9 @@ def convergence_study(spec: ProblemSpec, ns: Sequence[int],
 
     ``exact`` maps variable names to callables; the error column is the
     max over those variables of the max grid error (uniform grid).  A
-    failed size is recorded in its row and the sweep continues.
+    size that fails with a solver or input error (TauError, ValueError)
+    is recorded in its row and the sweep continues; any other exception
+    propagates.
     """
     a, b = spec.basis.domain
     grid = np.linspace(a, b, grid_size)
@@ -521,7 +470,7 @@ def convergence_study(spec: ProblemSpec, ns: Sequence[int],
             rows.append(ConvergenceRow(
                 n, err, residual, len(sol.newton), seconds,
                 None if sol.converged else "not converged"))
-        except Exception as exc:  # noqa: BLE001  (sweep must go on)
+        except (TauError, ValueError) as exc:
             seconds = time.perf_counter() - t0
             rows.append(ConvergenceRow(
                 n, float("nan"), float("nan"), 0, seconds, str(exc)))

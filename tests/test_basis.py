@@ -1,11 +1,13 @@
 """Families, series, evaluation, and products in the orthogonal basis."""
 
+import subprocess
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import tauspec as ts
-from tauspec.basis import linearization_rows_by_recurrence, _FAMILIES
 
 import oracles
 
@@ -15,19 +17,51 @@ DOMAINS = [(-1.0, 1.0), (0.0, 1.0), (-2.0, 3.0)]
 
 def test_recurrence_chebyshev():
     basis = ts.BasisSpec(ts.CHEBYSHEV)
-    assert ts.recurrence_coefficients(basis, 0) == (1.0, 0.0, 0.0)
+    alpha, beta, gamma = ts.recurrence_coefficients(basis, 8)
+    assert (alpha[0], beta[0], gamma[0]) == (1.0, 0.0, 0.0)
     for j in range(1, 8):
-        assert ts.recurrence_coefficients(basis, j) == (0.5, 0.0, 0.5)
+        assert (alpha[j], beta[j], gamma[j]) == (0.5, 0.0, 0.5)
 
 
 def test_recurrence_legendre():
     basis = ts.BasisSpec(ts.LEGENDRE)
-    assert ts.recurrence_coefficients(basis, 0) == (1.0, 0.0, 0.0)
+    alpha, beta, gamma = ts.recurrence_coefficients(basis, 8)
+    assert (alpha[0], beta[0], gamma[0]) == (1.0, 0.0, 0.0)
     for j in range(1, 8):
-        a, b, g = ts.recurrence_coefficients(basis, j)
-        assert a == (j + 1.0) / (2 * j + 1.0)
-        assert b == 0.0
-        assert g == j / (2 * j + 1.0)
+        assert alpha[j] == (j + 1.0) / (2 * j + 1.0)
+        assert beta[j] == 0.0
+        assert gamma[j] == j / (2 * j + 1.0)
+
+
+def test_recurrence_arrays_are_read_only_prefixes():
+    basis = ts.BasisSpec(ts.LEGENDRE)
+    short = ts.recurrence_coefficients(basis, 5)
+    long = ts.recurrence_coefficients(basis, 300)
+    for s, l in zip(short, long):
+        assert s.shape == (5,) and l.shape == (300,)
+        assert s.tobytes() == l[:5].tobytes()
+        with pytest.raises(ValueError):
+            s[0] = 2.0
+    assert all(a.size == 0 for a in ts.recurrence_coefficients(basis, 0))
+    with pytest.raises(ValueError):
+        ts.recurrence_coefficients(basis, -1)
+
+
+def test_zero_alpha_is_rejected():
+    ts.register_family("BrokenAt3", lambda j: (0.0 if j == 3 else 1.0, 0.0, 0.0))
+    with pytest.raises(ts.ConfigurationError, match="alpha_3"):
+        ts.recurrence_coefficients(ts.BasisSpec("BrokenAt3"), 5)
+
+
+def test_import_fills_no_cache():
+    probe = (
+        "import tauspec\n"
+        "from tauspec.basis import _FAMILIES\n"
+        "print(all(f.abg.size == 0 and not f.blocks and f.table is None\n"
+        "          for f in _FAMILIES.values()))\n")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "True"
 
 
 def test_family_aliases():
@@ -152,25 +186,50 @@ def test_product_basis_mismatch():
 
 
 def test_chebyshev_closed_form_matches_recurrence():
-    """The closed form row and the generic recurrence must agree."""
+    """Rows from the generic recurrence equal T_i T_j = (T_{i+j} + T_{|i-j|}) / 2."""
     table = ts.linearization_table(ts.CHEBYSHEV)
-    rec = _FAMILIES[ts.CHEBYSHEV].recurrence
+    for i in range(65):
+        for j in range(65):
+            want = np.zeros(i + j + 1)
+            want[i + j] += 0.5
+            want[abs(i - j)] += 0.5
+            idx, vals = table.row(i, j)
+            assert idx.tolist() == np.nonzero(want)[0].tolist()
+            assert vals.tobytes() == want[idx].tobytes()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_linearization_rows_match_oracle(family):
+    """Every P_i * P_j with i, j <= 10 against the exact rational product."""
+    basis = ts.BasisSpec(family)
     for i in range(11):
         for j in range(i, 11):
-            dense = linearization_rows_by_recurrence(rec, i, j)
-            idx, vals = table.row(i, j)
-            full = np.zeros(i + j + 1)
-            full[idx] = vals
-            npt.assert_allclose(full, dense, atol=1e-14)
+            ei, ej = np.eye(i + 1)[i], np.eye(j + 1)[j]
+            want = [float(c) for c in oracles.product_oracle(family, (-1.0, 1.0), ei, ej)]
+            got = ts.product(ts.Series(basis, ei), ts.Series(basis, ej)).coeffs
+            npt.assert_allclose(got[: i + j + 1], want, rtol=0, atol=1e-14)
+            assert not got[i + j + 1 :].any()
 
 
-def test_linearization_coefficient_lookup():
-    table = ts.linearization_table(ts.LEGENDRE)
-    assert table.coefficient(1, 1, 0) == pytest.approx(1 / 3)
-    assert table.coefficient(1, 1, 1) == 0.0
-    assert table.coefficient(1, 1, 2) == pytest.approx(2 / 3)
-    assert table.coefficient(1, 2, 5) == 0.0
-    assert table.coefficient(2, 1, 3) == pytest.approx(3 / 5)
+def test_linearization_rows_do_not_depend_on_lookup_order():
+    """A resumed climb gives the same bytes as a climb run in one go."""
+    pairs = [(i, j) for i in range(30) for j in range(i, 40)]
+    forward = ts.LinearizationTable(ts.LEGENDRE)
+    backward = ts.LinearizationTable(ts.LEGENDRE)
+    rows = {p: forward.row(*p) for p in pairs}
+    for i, j in reversed(pairs):
+        idx, vals = backward.row(j, i)
+        assert idx.tobytes() == rows[(i, j)][0].tobytes()
+        assert vals.tobytes() == rows[(i, j)][1].tobytes()
+
+
+def test_reregistered_family_drops_its_caches():
+    ts.register_family("Fam", lambda j: (1.0, 0.0, 0.0))
+    basis = ts.BasisSpec("Fam")
+    t1 = ts.Series(basis, [0.0, 1.0])
+    npt.assert_array_equal(ts.product(t1, t1).coeffs, [0.0, 0.0, 1.0])
+    ts.register_family("Fam", lambda j: (1.0, 0.0, 0.0) if j == 0 else (0.5, 0.0, 0.5))
+    npt.assert_array_equal(ts.product(t1, t1).coeffs, [0.5, 0.0, 0.5])
 
 
 def test_register_power_family():

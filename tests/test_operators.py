@@ -10,6 +10,10 @@ import oracles
 
 FAMILIES = [ts.CHEBYSHEV, ts.LEGENDRE]
 DOMAINS = [(-1.0, 1.0), (0.0, 1.0), (-2.0, 3.0)]
+RECURRENCES = {
+    ts.CHEBYSHEV: lambda j: (1.0, 0.0, 0.0) if j == 0 else (0.5, 0.0, 0.5),
+    ts.LEGENDRE: lambda j: ((j + 1.0) / (2 * j + 1.0), 0.0, j / (2 * j + 1.0)),
+}
 
 
 def _oracle(fn, family, domain, n):
@@ -20,7 +24,7 @@ def _oracle(fn, family, domain, n):
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_multiplication_matrix(family, domain):
     basis = ts.BasisSpec(family, domain)
-    got = ts.multiplication_matrix(basis, 12).entries
+    got = ts.multiplication_matrix(basis, 12)
     want = _oracle(oracles.mult_oracle, family, domain, 12)
     npt.assert_allclose(got, want, atol=1e-12)
 
@@ -29,7 +33,7 @@ def test_multiplication_matrix(family, domain):
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_differentiation_matrix(family, domain):
     basis = ts.BasisSpec(family, domain)
-    got = basis.c1 * ts.differentiation_matrix(basis, 12).entries
+    got = basis.c1 * ts.differentiation_matrix(basis, 12)
     want = _oracle(oracles.deriv_oracle, family, domain, 12)
     npt.assert_allclose(got, want, atol=1e-12)
 
@@ -38,7 +42,7 @@ def test_differentiation_matrix(family, domain):
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_integration_matrix(family, domain):
     basis = ts.BasisSpec(family, domain)
-    got = ts.integration_matrix(basis, 12).entries / basis.c1
+    got = ts.integration_matrix(basis, 12) / basis.c1
     want = _oracle(oracles.integ_oracle, family, domain, 12)
     npt.assert_allclose(got, want, atol=1e-12)
 
@@ -54,8 +58,8 @@ def test_basis_power_round_trip(family, domain):
     """
     basis = ts.BasisSpec(family, domain)
     n = 30
-    v = ts.basis_to_power_matrix(basis, n).entries
-    w = ts.power_to_basis_matrix(basis, n).entries
+    v = ts.basis_to_power_matrix(basis, n)
+    w = ts.power_to_basis_matrix(basis, n)
     resid = np.max(np.abs(w @ v - np.eye(n)))
     assert resid <= 1e-12 * max(1.0, np.abs(v).max())
     vw = _oracle(oracles.basis_to_power, family, domain, 12)
@@ -75,10 +79,10 @@ def test_from_power_series_hand_case():
 def test_multiplication_matrix_power(family):
     basis = ts.BasisSpec(family, (0.0, 1.0))
     n = 10
-    m = ts.multiplication_matrix(basis, n).entries
+    m = ts.multiplication_matrix(basis, n)
     acc = np.eye(n)
     for k in range(5):
-        got = ts.multiplication_matrix_power(basis, k, n).entries
+        got = ts.multiplication_matrix_power(basis, k, n)
         npt.assert_allclose(got, acc, atol=1e-13)
         acc = m @ acc
 
@@ -92,7 +96,7 @@ def test_polynomial_multiplication_action(family):
     for _ in range(10):
         p = rng.standard_normal(rng.integers(1, 6))
         a = rng.standard_normal(rng.integers(1, n + 1))
-        op = ts.polynomial_multiplication_matrix(basis, p, n).entries
+        op = ts.polynomial_multiplication_matrix(basis, p, n)
         av = np.zeros(n)
         av[: a.size] = a
         got = op @ av
@@ -114,8 +118,8 @@ def test_derivative_undoes_antiderivative(family, domain):
     """D O = I on the leading block; the tail row is lost to truncation."""
     basis = ts.BasisSpec(family, domain)
     n = 16
-    d = basis.c1 * ts.differentiation_matrix(basis, n).entries
-    o = ts.integration_matrix(basis, n).entries / basis.c1
+    d = basis.c1 * ts.differentiation_matrix(basis, n)
+    o = ts.integration_matrix(basis, n) / basis.c1
     npt.assert_allclose((d @ o)[: n - 1, : n - 1], np.eye(n - 1), atol=1e-12)
 
 
@@ -132,24 +136,59 @@ def test_series_calculus_round_trip(family):
     npt.assert_allclose(back.coeffs[: len(s)], s.coeffs, atol=1e-12)
 
 
+def _assembled(basis, n, terms, conditions=()):
+    """Assembled equation rows of one linear equation in y."""
+    spec = ts.ProblemSpec(
+        basis=basis, variables=("y",),
+        equations=(ts.EquationSpec(linear=tuple(terms)),),
+        conditions=tuple(conditions), settings=ts.SolveSettings(n=n))
+    return ts.assemble(spec).matrix[len(conditions):]
+
+
 def test_differential_operator_composition():
+    """p(x) y'' + 2 y' + 3 y assembles to P(p) D^2 + 2 D + 3 I."""
     basis = ts.BasisSpec(ts.CHEBYSHEV, (0.0, 1.0))
     n = 12
-    d = basis.c1 * ts.differentiation_matrix(basis, n).entries
+    d = basis.c1 * ts.differentiation_matrix(basis, n)
     p1 = ts.from_power_series(basis, [0.0, 1.0])
-    want = ts.polynomial_multiplication_matrix(basis, p1, n).entries @ (d @ d) \
+    want = ts.polynomial_multiplication_matrix(basis, p1, n) @ (d @ d) \
         + 2.0 * d + 3.0 * np.eye(n)
-    got = ts.differential_operator(basis, {2: p1, 1: [2.0], 0: [3.0]}, n).entries
-    npt.assert_allclose(got, want, atol=1e-12)
+    terms = [ts.LinearTermSpec("y", ts.Kind.DERIVATIVE, 2, tuple(p1)),
+             ts.LinearTermSpec("y", ts.Kind.DERIVATIVE, 1, (2.0,)),
+             ts.LinearTermSpec("y", ts.Kind.DERIVATIVE, 0, (3.0,))]
+    conds = [ts.ConditionSpec((ts.ConditionTerm("y", k, 0.0),), 0.0) for k in (0, 1)]
+    npt.assert_allclose(_assembled(basis, n, terms, conds), want[: n - 2], atol=1e-12)
 
 
 def test_integral_operator_composition():
+    """2 (int y) + 0.5 (int int y) assembles to 2 O + 0.5 O^2."""
     basis = ts.BasisSpec(ts.LEGENDRE, (0.0, 1.0))
     n = 12
-    o = ts.integration_matrix(basis, n).entries / basis.c1
+    o = ts.integration_matrix(basis, n) / basis.c1
     want = 2.0 * o + 0.5 * (o @ o)
-    got = ts.integral_operator(basis, {1: [2.0], 2: [0.5]}, n).entries
-    npt.assert_allclose(got, want, atol=1e-12)
+    terms = [ts.LinearTermSpec("y", ts.Kind.INTEGRAL, 1, (2.0,)),
+             ts.LinearTermSpec("y", ts.Kind.INTEGRAL, 2, (0.5,))]
+    npt.assert_allclose(_assembled(basis, n, terms), want, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_calculus_matrices_do_not_depend_on_call_order(family):
+    """A regrown cache serves the same bytes as the first, smaller build."""
+    ts.register_family(f"Fresh{family}", RECURRENCES[family])
+    fresh = ts.BasisSpec(f"Fresh{family}")
+    for build in (ts.integration_matrix, ts.differentiation_matrix):
+        first = build(fresh, 20).tobytes()
+        assert build(fresh, 300).shape == (300, 300)
+        assert build(fresh, 20).tobytes() == first
+        assert build(ts.BasisSpec(family), 20).tobytes() == first
+
+
+def test_cached_matrices_are_read_only():
+    basis = ts.BasisSpec(ts.CHEBYSHEV)
+    for build in (ts.integration_matrix, ts.differentiation_matrix):
+        mat = build(basis, 8)
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
 
 
 def _poly_series(basis, power_coeffs):
@@ -162,7 +201,7 @@ def test_volterra_operator_exact_on_low_degree(family):
     basis = ts.BasisSpec(family, (0.0, 1.0))
     n = 14
     kernel = ts.kernel_from_power(basis, [[0.0, -1.0], [1.0, 0.0]])  # x - t
-    op = ts.volterra_operator(kernel, 0.0, n).entries
+    op = ts.volterra_operator(kernel, 0.0, n)
     y = _poly_series(basis, [1.0, -2.0, 0.0, 0.5])
     av = np.zeros(n)
     av[: len(y)] = y.coeffs
@@ -179,7 +218,7 @@ def test_volterra_value_vanishes_at_lower_limit(family):
     n = 12
     kernel = ts.kernel_from_power(basis, [[1.0, 0.5], [0.25, 0.0]])
     rng = np.random.default_rng(17)
-    op = ts.volterra_operator(kernel, 0.0, n).entries
+    op = ts.volterra_operator(kernel, 0.0, n)
     for _ in range(5):
         a = np.zeros(n)
         a[:6] = rng.standard_normal(6)
@@ -202,7 +241,7 @@ def test_fredholm_operator_exact_on_low_degree(family):
     basis = ts.BasisSpec(family, (0.0, 1.0))
     n = 10
     kernel = ts.kernel_from_power(basis, [[0.0, 0.0], [0.0, 1.0]])  # x t
-    op = ts.fredholm_operator(kernel, n).entries
+    op = ts.fredholm_operator(kernel, n)
     # output is a polynomial of the kernel's x degree: rows beyond it vanish
     assert np.max(np.abs(op[2:, :])) == 0.0
     y = _poly_series(basis, [1.0, -1.0, 1.0])

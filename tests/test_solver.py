@@ -224,6 +224,17 @@ def test_convergence_study_records_failures():
     assert all(r.iterations >= 1 for r in good)
 
 
+def test_convergence_study_lets_programming_errors_through():
+    """Only solver and input failures become a row's failure."""
+    spec = ts.parse_problem(builtin("exp-ode"))
+
+    def broken(x):
+        return undefined_name * x  # noqa: F821
+
+    with pytest.raises(NameError):
+        ts.convergence_study(spec, [8], exact={"y": broken}, grid_size=11)
+
+
 def test_convergence_study_linear_single_sweep():
     spec = ts.parse_problem(builtin("exp-ode"))
     rows = ts.convergence_study(spec, [8, 16], exact={"y": np.exp},
