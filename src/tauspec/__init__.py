@@ -6,146 +6,14 @@ by operational recurrences, closed into a square coefficient system by
 the point conditions, and solved directly or by Newton sweeps.
 """
 
-from .basis import (
-    CHEBYSHEV,
-    LEGENDRE,
-    BasisSpec,
-    LinearizationTable,
-    Series,
-    basis_row,
-    evaluate,
-    family_names,
-    linearization_table,
-    product,
-    recurrence_coefficients,
-    register_family,
-    resolve_family,
-)
-from .errors import (
-    ConfigurationError,
-    ConvergenceWarning,
-    ExtrapolationWarning,
-    SingularSystemError,
-    TauError,
-    TruncationWarning,
-    ValidationError,
-)
-from .operators import (
-    KernelPoly,
-    apply_order,
-    basis_to_power_matrix,
-    calculus_powers,
-    differentiation_matrix,
-    fredholm_apply,
-    fredholm_operator,
-    from_power_series,
-    integration_matrix,
-    kernel_from_power,
-    multiplication_matrix,
-    multiplication_matrix_power,
-    polynomial_multiplication_matrix,
-    power_to_basis_matrix,
-    series_antiderivative,
-    series_derivative,
-    volterra_apply,
-    volterra_operator,
-)
-from .problem import (
-    ConditionSpec,
-    ConditionTerm,
-    EquationSpec,
-    Kind,
-    LinearTermSpec,
-    NewtonState,
-    ProblemSpec,
-    ProductTermSpec,
-    SolveSettings,
-    augment_variables,
-    check_working_size,
-    initial_iterate,
-    linearize,
-    parse_problem,
-)
-from .solver import (
-    ConvergenceRow,
-    ResidualReport,
-    TauSolution,
-    TauSystem,
-    assemble,
-    condition_defects,
-    convergence_study,
-    equation_defects,
-    error_vs_exact,
-    residual_report,
-    solve,
-    solve_linear,
-)
+from . import basis, errors, operators, problem, solver
+from .basis import *
+from .errors import *
+from .operators import *
+from .problem import *
+from .solver import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CHEBYSHEV",
-    "LEGENDRE",
-    "BasisSpec",
-    "Series",
-    "LinearizationTable",
-    "KernelPoly",
-    "Kind",
-    "LinearTermSpec",
-    "ProductTermSpec",
-    "ConditionTerm",
-    "ConditionSpec",
-    "EquationSpec",
-    "SolveSettings",
-    "ProblemSpec",
-    "NewtonState",
-    "TauSystem",
-    "TauSolution",
-    "ResidualReport",
-    "ConvergenceRow",
-    "TauError",
-    "ConfigurationError",
-    "ValidationError",
-    "SingularSystemError",
-    "ConvergenceWarning",
-    "TruncationWarning",
-    "ExtrapolationWarning",
-    "register_family",
-    "resolve_family",
-    "family_names",
-    "recurrence_coefficients",
-    "basis_row",
-    "evaluate",
-    "product",
-    "linearization_table",
-    "multiplication_matrix",
-    "multiplication_matrix_power",
-    "basis_to_power_matrix",
-    "power_to_basis_matrix",
-    "differentiation_matrix",
-    "integration_matrix",
-    "calculus_powers",
-    "polynomial_multiplication_matrix",
-    "volterra_operator",
-    "fredholm_operator",
-    "from_power_series",
-    "kernel_from_power",
-    "series_derivative",
-    "series_antiderivative",
-    "apply_order",
-    "volterra_apply",
-    "fredholm_apply",
-    "parse_problem",
-    "check_working_size",
-    "augment_variables",
-    "linearize",
-    "initial_iterate",
-    "assemble",
-    "solve_linear",
-    "solve",
-    "equation_defects",
-    "condition_defects",
-    "residual_report",
-    "error_vs_exact",
-    "convergence_study",
-]
+__all__ = [*basis.__all__, *errors.__all__, *operators.__all__, *problem.__all__,
+           *solver.__all__]

@@ -30,11 +30,12 @@ __all__ = [
     "Series",
     "LinearizationTable",
     "register_family",
-    "family_names",
+    "resolve_family",
     "recurrence_coefficients",
     "evaluate",
     "basis_row",
     "product",
+    "linearization_table",
 ]
 
 CHEBYSHEV = "ChebyshevT"
@@ -116,10 +117,6 @@ def resolve_family(name: str) -> str:
         known = ", ".join(sorted(_FAMILIES))
         raise ConfigurationError(f"unknown basis family {name!r} (known: {known})")
     return _ALIASES[key]
-
-
-def family_names() -> list[str]:
-    return sorted(_FAMILIES)
 
 
 @dataclass(frozen=True)

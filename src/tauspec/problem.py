@@ -157,7 +157,6 @@ class SolveSettings:
     max_iter: int = 25
     initial: object = "conditions"
     damping: bool = False
-    deriv_cap: int = DERIV_CAP
 
 
 @dataclass(frozen=True)
@@ -221,15 +220,12 @@ def _validate_spec(spec: ProblemSpec) -> None:
         raise ValidationError(
             f"system must be square: {len(names)} variables, "
             f"{len(spec.equations)} equations")
-    cap = spec.settings.deriv_cap
+    cap = DERIV_CAP
     for e, eq in enumerate(spec.equations):
         for t, term in enumerate(eq.linear):
             where = f"equations[{e}].terms[{t}]"
             if term.var not in names:
                 raise ValidationError(f"unknown variable {term.var!r}", where)
-            if term.kind is Kind.DERIVATIVE and term.order > cap:
-                raise ValidationError(
-                    f"derivative order {term.order} exceeds the cap {cap}", where)
             if abs(term.order) > cap:
                 raise ValidationError(
                     f"order {term.order} exceeds the cap {cap}", where)
@@ -420,8 +416,7 @@ def _parse_settings(node, where: str, overrides: Mapping) -> SolveSettings:
         raise ValidationError("bad 'initial' entry", where)
     return SolveSettings(
         n=n, newton_tol=tol, max_iter=max_iter, initial=initial,
-        damping=bool(node.get("damping", False)),
-        deriv_cap=int(node.get("deriv_cap", DERIV_CAP)))
+        damping=bool(node.get("damping", False)))
 
 
 def parse_problem(doc: Mapping, *, n: int | None = None, family: str | None = None,

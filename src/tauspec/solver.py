@@ -220,13 +220,6 @@ def solve_linear(system: TauSystem) -> tuple[np.ndarray, dict]:
     return x, diagnostics
 
 
-def _split(system_vars, n: int, basis, vec: np.ndarray) -> dict:
-    return {
-        v: Series(basis, vec[i * n : (i + 1) * n])
-        for i, v in enumerate(system_vars)
-    }
-
-
 def _apply_linear_term_exact(term, iterate: Mapping) -> Series:
     s = ops.apply_order(iterate[term.var], term.inner_order)
     if term.kind is Kind.VOLTERRA:
@@ -251,11 +244,18 @@ def _apply_product_term_exact(term, iterate: Mapping) -> Series:
     return Series(acc.basis, term.weight * acc.coeffs)
 
 
+def _padded(a: np.ndarray, width: int) -> np.ndarray:
+    """A new array of the given length: a, cut or padded with zeros."""
+    out = np.zeros(width)
+    out[: min(width, a.size)] = a[:width]
+    return out
+
+
 def _accumulate(total: np.ndarray | None, s: Series) -> np.ndarray:
     if total is None:
         return np.array(s.coeffs)
     if total.size < s.coeffs.size:
-        total = np.concatenate([total, np.zeros(s.coeffs.size - total.size)])
+        total = _padded(total, s.coeffs.size)
     total[: s.coeffs.size] += s.coeffs
     return total
 
@@ -278,7 +278,7 @@ def equation_defects(spec: ProblemSpec, iterate: Mapping) -> list[Series]:
         if total is None:
             total = np.zeros(max(rhs.size, 1))
         if total.size < rhs.size:
-            total = np.concatenate([total, np.zeros(rhs.size - total.size)])
+            total = _padded(total, rhs.size)
         total[: rhs.size] -= rhs
         out.append(Series(spec.basis, total))
     return out
@@ -295,18 +295,17 @@ def condition_defects(spec: ProblemSpec, iterate: Mapping) -> np.ndarray:
     return out
 
 
-def _residual_grid(basis, size: int) -> np.ndarray:
-    a, b = basis.domain
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    j = np.arange(size)
-    return mid - half * np.cos(np.pi * j / (size - 1)) if size > 1 else np.array([mid])
-
-
 def residual_report(spec: ProblemSpec, iterate: Mapping,
-                    grid_size: int = RESIDUAL_GRID) -> ResidualReport:
-    """Measure equation and condition defects of a candidate solution."""
-    grid = _residual_grid(spec.basis, grid_size)
-    defects = equation_defects(spec, iterate)
+                    defects: Sequence[Series]) -> ResidualReport:
+    """Measure equation and condition defects of a candidate solution.
+
+    ``defects`` are the candidate's exact equation defects, as returned by
+    ``equation_defects(spec, iterate)``; the report samples them on a
+    Chebyshev-Lobatto grid of RESIDUAL_GRID points.
+    """
+    a, b = spec.basis.domain
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    grid = mid - half * np.cos(np.pi * np.arange(RESIDUAL_GRID) / (RESIDUAL_GRID - 1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         eq_max = [float(np.max(np.abs(evaluate(d, grid)))) for d in defects]
@@ -314,13 +313,9 @@ def residual_report(spec: ProblemSpec, iterate: Mapping,
     return ResidualReport(grid, eq_max, cond, defects)
 
 
-def _defect_norm(spec: ProblemSpec, iterate: Mapping) -> float:
-    defects = equation_defects(spec, iterate)
-    return max(float(np.max(np.abs(d.coeffs))) for d in defects)
-
-
-def _iterate_norm(iterate: Mapping) -> float:
-    return max(float(np.max(np.abs(s.coeffs))) for s in iterate.values())
+def _max_abs(series) -> float:
+    """Largest absolute coefficient over a collection of series."""
+    return max(float(np.max(np.abs(s.coeffs))) for s in series)
 
 
 def _update_norm(new: Mapping, old: Mapping) -> float:
@@ -329,12 +324,22 @@ def _update_norm(new: Mapping, old: Mapping) -> float:
         a = s.coeffs
         b = old[v].coeffs if v in old else np.zeros(1)
         width = max(a.size, b.size)
-        pa = np.zeros(width)
-        pa[: a.size] = a
-        pb = np.zeros(width)
-        pb[: b.size] = b
-        worst = max(worst, float(np.max(np.abs(pa - pb))))
+        worst = max(worst, float(np.max(np.abs(_padded(a, width) - _padded(b, width)))))
     return worst
+
+
+def _candidate(spec: ProblemSpec, lin: ProblemSpec):
+    """Assemble and solve the linear(ized) ``lin``; judge the result against ``spec``.
+
+    Returns the candidate iterate, its exact equation defects, their
+    largest coefficient, and the diagnostics of the linear solve.
+    """
+    vec, diagnostics = solve_linear(assemble(lin))
+    n = spec.settings.n
+    candidate = {v: Series(spec.basis, vec[i * n : (i + 1) * n])
+                 for i, v in enumerate(spec.variables)}
+    defects = equation_defects(spec, candidate)
+    return candidate, defects, _max_abs(defects), diagnostics
 
 
 def solve(spec: ProblemSpec) -> TauSolution:
@@ -345,44 +350,40 @@ def solve(spec: ProblemSpec) -> TauSolution:
     largest coefficient update falls under newton_tol relative to the
     iterate size, or max_iter is reached; running out of sweeps returns
     the best iterate with ``converged`` False rather than raising.
+    The exact defects of every candidate are evaluated once and serve the
+    Newton log, the damping test and the residual report.
     """
     spec = augment_variables(spec)
     check_working_size(spec)
     n = spec.settings.n
-    newton: list[NewtonState] = []
-    diagnostics: dict = {}
     if spec.is_linear:
-        system = assemble(spec)
-        vec, diagnostics = solve_linear(system)
-        iterate = _split(spec.variables, n, spec.basis, vec)
-        newton.append(NewtonState(1, iterate, 0.0, _defect_norm(spec, iterate)))
+        iterate, defects, res, diagnostics = _candidate(spec, spec)
+        newton = [NewtonState(1, iterate, 0.0, res)]
         converged = True
     else:
         tol = spec.settings.newton_tol
         iterate = initial_iterate(spec)
+        newton = []
         converged = False
         prev_res = np.inf
         for k in range(1, spec.settings.max_iter + 1):
-            lin = linearize(spec, iterate)
-            system = assemble(lin)
-            vec, diagnostics = solve_linear(system)
-            candidate = _split(spec.variables, n, spec.basis, vec)
-            res = _defect_norm(spec, candidate)
+            candidate, defects, res, diagnostics = _candidate(spec, linearize(spec, iterate))
             if spec.settings.damping and res > prev_res:
                 for _ in range(6):
                     mixed = {
                         v: Series(spec.basis, 0.5 * (candidate[v].coeffs
-                                                     + _padded(iterate[v], n)))
+                                                     + _padded(iterate[v].coeffs, n)))
                         for v in spec.variables}
-                    mixed_res = _defect_norm(spec, mixed)
+                    mixed_defects = equation_defects(spec, mixed)
+                    mixed_res = _max_abs(mixed_defects)
                     if mixed_res >= res:
                         break
-                    candidate, res = mixed, mixed_res
+                    candidate, defects, res = mixed, mixed_defects, mixed_res
             update = _update_norm(candidate, iterate)
             newton.append(NewtonState(k, candidate, update, res))
             iterate = candidate
             prev_res = res
-            if update <= tol * max(1.0, _iterate_norm(iterate)):
+            if update <= tol * max(1.0, _max_abs(iterate.values())):
                 converged = True
                 break
         if not converged:
@@ -390,16 +391,10 @@ def solve(spec: ProblemSpec) -> TauSolution:
                 f"Newton did not meet tol={tol:g} within "
                 f"{spec.settings.max_iter} sweeps (last update {update:.3e})",
                 ConvergenceWarning, stacklevel=2)
-    report = residual_report(spec, iterate)
     return TauSolution(
         spec=spec, n=n, series=iterate, newton=newton,
-        residual=report, converged=converged, diagnostics=diagnostics)
-
-
-def _padded(s: Series, n: int) -> np.ndarray:
-    out = np.zeros(n)
-    out[: min(n, s.coeffs.size)] = s.coeffs[:n]
-    return out
+        residual=residual_report(spec, iterate, defects),
+        converged=converged, diagnostics=diagnostics)
 
 
 def error_vs_exact(solution: TauSolution, grid, exact_values) -> dict:

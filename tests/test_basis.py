@@ -1,5 +1,6 @@
 """Families, series, evaluation, and products in the orthogonal basis."""
 
+import os
 import subprocess
 import sys
 
@@ -59,8 +60,10 @@ def test_import_fills_no_cache():
         "from tauspec.basis import _FAMILIES\n"
         "print(all(f.abg.size == 0 and not f.blocks and f.table is None\n"
         "          for f in _FAMILIES.values()))\n")
+    # the child imports the same tauspec as this process, installed or not
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True).stdout
+                         text=True, check=True, env=env).stdout
     assert out.strip() == "True"
 
 

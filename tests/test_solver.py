@@ -1,6 +1,7 @@
 """Assembly, the direct solve, Newton iteration, and residual reporting."""
 
 import json
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -188,6 +189,65 @@ def test_residual_report_structure():
     assert max(rep.equation_max) <= 1e-12
     assert len(rep.condition_defect) == 2
     assert max(rep.condition_defect) <= 1e-12
+
+
+# One run per way solve can end: a linear solve, converged Newton, Newton
+# with damping (it mixes candidates on example1), and Newton out of sweeps.
+RUNS = {
+    "linear": ("volterra-exp", {}),
+    "newton": ("example2", {}),
+    "damped": ("example1", {"damping": True}),
+    "out-of-sweeps": ("example2", {"max_iter": 2}),
+}
+
+
+def _solve_run(label):
+    name, settings = RUNS[label]
+    doc = builtin(name)
+    doc["solve"].update(settings)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ts.ConvergenceWarning)
+        return ts.solve(ts.parse_problem(doc))
+
+
+@pytest.fixture
+def judged(monkeypatch):
+    """Every iterate solve passes to equation_defects, in call order."""
+    calls = []
+    original = ts.solver.equation_defects
+
+    def counting(spec, iterate):
+        calls.append(iterate)
+        return original(spec, iterate)
+
+    monkeypatch.setattr(ts.solver, "equation_defects", counting)
+    return calls
+
+
+@pytest.mark.parametrize("label, sweeps", [
+    ("linear", 1), ("newton", 6), ("out-of-sweeps", 2)])
+def test_one_exact_defect_per_candidate(judged, label, sweeps):
+    sol = _solve_run(label)
+    assert len(sol.newton) == sweeps
+    assert len(judged) == sweeps
+    assert judged[-1] is sol.series
+
+
+def test_damping_judges_each_mix_once(judged):
+    sol = _solve_run("damped")
+    assert sol.converged
+    assert len(judged) > len(sol.newton)
+    assert len({id(it) for it in judged}) == len(judged)
+    assert any(it is sol.series for it in judged)
+
+
+@pytest.mark.parametrize("label", sorted(RUNS))
+def test_report_carries_the_returned_iterates_defects(label):
+    sol = _solve_run(label)
+    fresh = ts.equation_defects(sol.spec, sol.series)
+    report = sol.residual.defect_series
+    assert [d.coeffs.tobytes() for d in report] == [d.coeffs.tobytes() for d in fresh]
+    assert sol.newton[-1].residual_norm == max(float(np.max(np.abs(d.coeffs))) for d in fresh)
 
 
 def test_defect_structure_of_direct_solve():
