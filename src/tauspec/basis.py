@@ -320,12 +320,21 @@ def linearization_table(family: str) -> LinearizationTable:
     return fam.table
 
 
+def _support(a: np.ndarray) -> int:
+    """One past the index of the last nonzero entry (0 if all are zero)."""
+    nz = np.flatnonzero(a)
+    return int(nz[-1]) + 1 if nz.size else 0
+
+
 def product(p: Series, q: Series) -> Series:
     """Product of two Series, computed entirely in the orthogonal basis.
 
     Both inputs are padded to a common length n + 1 and the result has
     length 2n + 1.  Contributions are symmetrized over (i, j) pairs, so
-    product(p, q) and product(q, p) agree bitwise.
+    product(p, q) and product(q, p) agree bitwise.  Only pairs j <= i
+    with j below the shorter support and i below the longer one can have
+    a nonzero weight; each column j adds its weighted rows in one ordered
+    scatter, so every coefficient sums its terms in (j, i) order.
     """
     _check_same_basis(p, q)
     n = max(p.coeffs.size, q.coeffs.size) - 1
@@ -333,15 +342,18 @@ def product(p: Series, q: Series) -> Series:
     a[: p.coeffs.size] = p.coeffs
     b = np.zeros(n + 1)
     b[: q.coeffs.size] = q.coeffs
+    sa, sb = _support(a), _support(b)
+    hi = max(sa, sb)
     table = linearization_table(p.basis.family)
     c = np.zeros(2 * n + 1)
-    for j in range(n + 1):
-        for i in range(j, n + 1):
-            w = a[i] * b[j] + a[j] * b[i]
-            if i == j:
-                w *= 0.5
-            if w == 0.0:
-                continue
-            idx, vals = table.row(i, j)
-            c[idx] += w * vals
+    for j in range(min(sa, sb)):
+        w = a[j:hi] * b[j] + a[j] * b[j:hi]
+        w[0] *= 0.5
+        live = np.flatnonzero(w)
+        if not live.size:
+            continue
+        rows = [table.row(j + i, j) for i in live]
+        idx = np.concatenate([r[0] for r in rows])
+        weights = np.repeat(w[live], [r[0].size for r in rows])
+        np.add.at(c, idx, weights * np.concatenate([r[1] for r in rows]))
     return Series(p.basis, c)

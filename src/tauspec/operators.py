@@ -249,6 +249,15 @@ def _basis_member_matrices(basis: BasisSpec, n: int, count: int):
             prev, curr = curr, nxt
 
 
+def _member_sum(p: np.ndarray, members) -> np.ndarray:
+    """sum_j p[j] * members[j], accumulated in index order."""
+    members = iter(members)
+    acc = p[0] * next(members)
+    for c, pj in zip(p[1:], members):
+        acc = acc + c * pj
+    return acc
+
+
 def polynomial_multiplication_matrix(basis: BasisSpec, coeffs, n: int) -> np.ndarray:
     """Matrix of multiplication by a polynomial given in the shifted basis.
 
@@ -264,11 +273,7 @@ def polynomial_multiplication_matrix(basis: BasisSpec, coeffs, n: int) -> np.nda
     if p.size > n:
         raise ValueError(
             f"coefficient polynomial has {p.size} coefficients, working size is {n}")
-    members = _basis_member_matrices(basis, n, p.size)
-    acc = p[0] * next(members)
-    for c, pj in zip(p[1:], members):
-        acc = acc + c * pj
-    return acc
+    return _member_sum(p, _basis_member_matrices(basis, n, p.size))
 
 
 def _clipped_kernel(kernel: KernelPoly, n: int) -> np.ndarray:
@@ -287,7 +292,8 @@ def volterra_operator(kernel: KernelPoly, lower: float, n: int) -> np.ndarray:
     Assembled per kernel column: the t dependence acts through basis
     members evaluated at the multiplication matrix, the antiderivative
     supplies the integral, and a rank-one correction subtracts the value
-    at the lower limit so the image vanishes there.
+    at the lower limit so the image vanishes there.  The x-side members
+    are built once and weighted by each column's coefficients.
     """
     basis = kernel.basis
     n = _check_size(n)
@@ -295,14 +301,14 @@ def volterra_operator(kernel: KernelPoly, lower: float, n: int) -> np.ndarray:
     nx, nt = k.shape
     os = integration_matrix(basis, n) / basis.c1
     row_lo = basis_row(basis, lower, n)
+    x_members = list(_basis_member_matrices(basis, n, nx))
     acc = np.zeros((n, n))
     for j, pj in enumerate(_basis_member_matrices(basis, n, nt)):
         col = np.zeros(n)
         col[:nx] = k[:, j]
         if not col.any():
             continue
-        b = polynomial_multiplication_matrix(basis, k[:, j], n)
-        b = b - np.outer(col, row_lo)
+        b = _member_sum(k[:, j], x_members) - np.outer(col, row_lo)
         acc += b @ os @ pj
     return acc
 
@@ -421,5 +427,6 @@ def fredholm_apply(kernel: KernelPoly, series: Series) -> Series:
         t_poly = Series(basis, k[i, :])
         integrand = product(t_poly, series)
         g = series_antiderivative(integrand)
-        out[i] = evaluate(g, b_dom) - evaluate(g, a_dom)
+        at_a, at_b = evaluate(g, [a_dom, b_dom])
+        out[i] = at_b - at_a
     return Series(basis, out)

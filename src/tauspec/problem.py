@@ -635,7 +635,9 @@ def linearize(spec: ProblemSpec, iterate: Mapping) -> ProblemSpec:
                 others = [frozen[j] for j in range(p) if j != i]
                 phi = _frozen_product(others, n)
                 if term.enclosure is None:
-                    coeff = tuple(term.weight * phi.coeffs)
+                    # one frozen antiderivative keeps n + 1 coefficients
+                    phi_n = _truncated(phi.coeffs, n, "frozen coefficient")
+                    coeff = tuple(term.weight * phi_n)
                     kind = Kind.DERIVATIVE if o >= 0 else Kind.INTEGRAL
                     linear.append(LinearTermSpec(
                         var=v, kind=kind, order=abs(o), coeff=coeff))

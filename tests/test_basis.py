@@ -11,6 +11,7 @@ import pytest
 import tauspec as ts
 
 import oracles
+import references
 
 FAMILIES = [ts.CHEBYSHEV, ts.LEGENDRE]
 DOMAINS = [(-1.0, 1.0), (0.0, 1.0), (-2.0, 3.0)]
@@ -179,6 +180,68 @@ def test_product_commutes_bitwise(family):
         pq = ts.product(a, b).coeffs
         qp = ts.product(b, a).coeffs
         assert pq.tobytes() == qp.tobytes()
+
+
+def _product_factor(rng, kind: int) -> np.ndarray:
+    """One seeded factor of a given shape: dense, sparse, short or tiny."""
+    a = rng.standard_normal(rng.integers(1, 71))
+    if kind == 1:
+        a[rng.integers(0, a.size, size=max(1, a.size // 2))] = 0.0
+    elif kind == 2:
+        a[rng.integers(0, a.size):] = 0.0
+    elif kind == 3:
+        a[:] = 0.0
+    elif kind == 4:
+        a = a[:1]
+    elif kind == 5:
+        a *= 1e-300
+    elif kind == 6:
+        a = a[:3]
+        a[a.size // 2] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_product_bytes_match_the_pair_loop(family):
+    """Restricting the pairs and scattering by column changes no bit.
+
+    Covers trailing, interior and all-zero coefficients, one-coefficient
+    factors, signed zeros, 1e-300 scaling and both argument orders.
+    """
+    rng = np.random.default_rng(31)
+    basis = ts.BasisSpec(family, (0.0, 2.0))
+    for trial in range(120):
+        p = ts.Series(basis, _product_factor(rng, trial % 7))
+        q = ts.Series(basis, _product_factor(rng, (trial // 7) % 7))
+        for x, y in ((p, q), (q, p)):
+            got = ts.product(x, y).coeffs
+            assert got.tobytes() == references.pair_loop_product(x, y).coeffs.tobytes()
+
+
+def test_products_keep_looking_up_rows(monkeypatch):
+    """Products go through LinearizationTable.row even when warm.
+
+    The benchmark's tracer patches that method and counts its lookups, so
+    a product that stopped calling it would blind the per-layer metrics.
+    """
+    assert callable(getattr(ts.LinearizationTable, "row", None))
+    calls = []
+    original = ts.LinearizationTable.row
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return original(self, i, j)
+
+    monkeypatch.setattr(ts.LinearizationTable, "row", counted)
+    rng = np.random.default_rng(2)
+    for family in FAMILIES:
+        basis = ts.BasisSpec(family)
+        p = ts.Series(basis, rng.standard_normal(16))
+        q = ts.Series(basis, rng.standard_normal(16))
+        ts.product(p, q)
+        calls.clear()
+        ts.product(p, q)
+        assert len(calls) >= 1
 
 
 def test_product_basis_mismatch():

@@ -7,6 +7,7 @@ import pytest
 import tauspec as ts
 
 import oracles
+import references
 
 FAMILIES = [ts.CHEBYSHEV, ts.LEGENDRE]
 DOMAINS = [(-1.0, 1.0), (0.0, 1.0), (-2.0, 3.0)]
@@ -210,6 +211,22 @@ def test_volterra_operator_exact_on_low_degree(family):
     want = np.zeros(n)
     want[: min(n, len(exact))] = exact.coeffs[:n]
     npt.assert_allclose(got, want, atol=1e-13)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_volterra_operator_bytes_match_per_column_build(family):
+    """Building the x-side members once changes no bit of the operator."""
+    rng = np.random.default_rng(41)
+    basis = ts.BasisSpec(family, (-0.5, 1.5))
+    for nx, nt, n in [(2, 3, 10), (3, 7, 16), (4, 20, 24), (2, 1, 5), (5, 12, 12)]:
+        k = rng.standard_normal((nx, nt))
+        k[:, rng.integers(0, nt)] = 0.0  # a zero column is skipped
+        if nt > 2:
+            k[0, 1] = 0.0
+        kernel = ts.KernelPoly(basis, k)
+        got = ts.volterra_operator(kernel, 0.25, n)
+        want = references.per_column_volterra_operator(kernel, 0.25, n)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("family", FAMILIES)

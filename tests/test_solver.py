@@ -167,6 +167,37 @@ def test_newton_with_damping_still_converges():
     assert ts.error_vs_exact(sol, grid, {"y": np.exp(-grid)})["y"] <= 1e-13
 
 
+@pytest.mark.parametrize("n", [24, 32])
+def test_bare_product_with_an_antiderivative_factor(n):
+    """y' - y * (antiderivative of y) = 0, y(0) = 1, with no enclosure.
+
+    The frozen antiderivative has n + 1 coefficients; it used to become a
+    coefficient polynomial too long for the working size at every n.
+    """
+    doc = {
+        "basis": {"family": "ChebyshevT", "domain": [0.0, 1.0]},
+        "variables": ["y"],
+        "equations": [{
+            "terms": [
+                {"var": "y", "deriv": 1},
+                {"product": {"factors": [{"var": "y"}, {"var": "y", "order": -1}],
+                             "weight": -1.0}}],
+            "rhs": 0.0}],
+        "conditions": [{"terms": [{"var": "y", "point": 0.0}], "value": 1.0}],
+        "solve": {"n": n},
+    }
+    sol = ts.solve(ts.parse_problem(doc))
+    assert sol.converged
+    assert max(sol.residual.equation_max) <= 1e-13
+    # checked again with numpy's own Chebyshev class; the antiderivative
+    # is the one that vanishes at the midpoint of the interval
+    y = np.polynomial.Chebyshev(sol["y"].coeffs, domain=[0.0, 1.0])
+    big_y = y.integ(lbnd=0.5)
+    grid = np.linspace(0.0, 1.0, 201)
+    assert abs(y(0.0) - 1.0) <= 1e-13
+    assert np.max(np.abs(y.deriv()(grid) - y(grid) * big_y(grid))) <= 1e-12
+
+
 def test_solution_carries_augmented_variables():
     sol = ts.solve(ts.parse_problem(builtin("example1")))
     assert sol.spec.variables == ("y", "y2")
