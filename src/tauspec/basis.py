@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -207,16 +207,39 @@ def _check_same_basis(p: Series, q: Series) -> None:
         raise ValueError(f"basis mismatch: {p.basis} vs {q.basis}")
 
 
+def _recurrence(basis: BasisSpec, first, x_minus_beta, count: int):
+    """Yield P_0(X) first, ..., P_{count-1}(X) first by the three term step.
+
+    X is whatever ``x_minus_beta(v, j)`` makes of it: that call returns
+    (X - beta_j) v as a new array or scalar, for a point, the
+    multiplication matrix acting on columns, or any other action.  This is
+    the only place the step P_{j+1} = ((X - beta_j) P_j - gamma_j P_{j-1}) /
+    alpha_j is written; it finishes in place on what the action returned.
+    """
+    alpha, _, gamma = recurrence_coefficients(basis, count)
+    prev, curr = np.zeros_like(first), first
+    for j in range(count):
+        yield curr
+        if j + 1 < count:
+            nxt = x_minus_beta(curr, j)
+            nxt -= gamma[j] * prev
+            nxt /= alpha[j]
+            prev, curr = curr, nxt
+
+
 def _member_values(basis: BasisSpec, z, count: int):
     """Yield P_0(z), ..., P_{count-1}(z) on the reference interval."""
-    alpha, beta, gamma = recurrence_coefficients(basis, count)
-    p_prev = np.zeros_like(z)
-    p_curr = np.ones_like(z)
-    for i in range(count):
-        yield p_curr
-        if i + 1 < count:
-            p_next = ((z - beta[i]) * p_curr - gamma[i] * p_prev) / alpha[i]
-            p_prev, p_curr = p_curr, p_next
+    beta = recurrence_coefficients(basis, count)[1]
+    return _recurrence(basis, np.ones_like(z), lambda p, j: (z - beta[j]) * p, count)
+
+
+def _member_sum(p: np.ndarray, members) -> np.ndarray:
+    """sum_j p[j] * members[j], accumulated in index order."""
+    members = iter(members)
+    acc = p[0] * next(members)
+    for c, pj in zip(p[1:], members):
+        acc = acc + c * pj
+    return acc
 
 
 def basis_row(basis: BasisSpec, x: float, n: int) -> np.ndarray:
@@ -239,19 +262,15 @@ def evaluate(series: Series, xs):
     if coeffs.size == 0:
         raise ValueError("empty coefficient vector")
     x = np.asarray(xs, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     a_dom, b_dom = basis.domain
     slack = 1e-12 * (b_dom - a_dom)
     if x.size and (x.min() < a_dom - slack or x.max() > b_dom + slack):
         warnings.warn(
             f"evaluation points outside [{a_dom}, {b_dom}]",
             ExtrapolationWarning, stacklevel=2)
-    members = _member_values(basis, basis.c1 * x + basis.c2, coeffs.size)
-    total = coeffs[0] * next(members)
-    for c, p in zip(coeffs[1:], members):
-        total = total + c * p
-    return float(total[0]) if scalar else total
+    # a single point runs on numpy scalars: the same operations, at less cost
+    total = _member_sum(coeffs, _member_values(basis, basis.c1 * x + basis.c2, coeffs.size))
+    return float(total) if x.ndim == 0 else total
 
 
 def _mul_x_matrix(alpha, beta, gamma, a: np.ndarray) -> np.ndarray:
@@ -263,6 +282,23 @@ def _mul_x_matrix(alpha, beta, gamma, a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _j_minus_beta(basis: BasisSpec, width: int):
+    """(v, j) -> (J - beta_j) v for coefficient columns v of ``width`` rows."""
+    alpha, beta, gamma = recurrence_coefficients(basis, width)
+
+    def j_minus_beta(v, j):
+        out = _mul_x_matrix(alpha, beta, gamma, v)
+        out -= beta[j] * v
+        return out
+
+    return j_minus_beta
+
+
+def _basis_member_matrices(basis: BasisSpec, n: int, count: int):
+    """Yield P_j evaluated at the multiplication matrix for j = 0..count-1."""
+    return _recurrence(basis, np.eye(n), _j_minus_beta(basis, n), count)
+
+
 class LinearizationTable:
     """Cached access to the coefficients of P_i * P_j = sum_k l(i,j,k) P_k.
 
@@ -271,16 +307,16 @@ class LinearizationTable:
 
         P_{k+1} P_j = ((x - beta_k) P_k P_j - gamma_k P_{k-1} P_j) / alpha_k
 
-    with x * (P_k P_j) re-expanded by the banded multiplication by x.  It
-    keeps the last two dense rows of each unfinished climb to resume it,
-    so a run of lookups costs one step per new row.
+    with x * (P_k P_j) re-expanded by the banded multiplication by x.  Each
+    unfinished climb is a live recurrence at width 2j + 1, resumed where
+    it stopped, so a run of lookups costs one step per new row.
     """
 
     def __init__(self, family: str):
         self.family = resolve_family(family)
-        self._fam = _FAMILIES[self.family]
+        self._basis = BasisSpec(self.family)
         self._cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._climbs: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+        self._climbs: dict[int, Iterator[tuple[int, np.ndarray]]] = {}
 
     def row(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Nonzero positions and values of the expansion of P_i * P_j."""
@@ -294,22 +330,19 @@ class LinearizationTable:
 
     def _climb(self, j: int) -> None:
         """Store the next row P_k * P_j of the climb for this j."""
-        if j not in self._climbs:
-            k, prev, curr = 0, np.zeros(j), np.zeros(j + 1)
-            curr[j] = 1.0
-        else:
-            k, prev, curr = self._climbs[j]
-            alpha, beta, gamma = self._fam.coefficients(k + j + 2)
-            wide = np.append(curr, 0.0)
-            nxt = _mul_x_matrix(alpha, beta, gamma, wide[:, None])[:, 0]
-            nxt = (nxt - beta[k] * wide - gamma[k] * np.append(prev, [0.0, 0.0])) / alpha[k]
-            k, prev, curr = k + 1, curr, nxt
-        if k < j:
-            self._climbs[j] = (k, prev, curr)
-        else:  # rows past k = j are never asked for
-            self._climbs.pop(j, None)
-        idx = np.nonzero(curr)[0]
-        self._cache[(k, j)] = (idx, curr[idx])
+        climb = self._climbs.get(j)
+        if climb is None:
+            width = 2 * j + 1
+            e_j = np.zeros((width, 1))
+            e_j[j] = 1.0
+            climb = enumerate(_recurrence(
+                self._basis, e_j, _j_minus_beta(self._basis, width), j + 1))
+            self._climbs[j] = climb
+        k, curr = next(climb)
+        if k == j:  # rows past k = j are never asked for
+            del self._climbs[j]
+        idx = np.nonzero(curr[:, 0])[0]
+        self._cache[(k, j)] = (idx, curr[idx, 0])
 
 
 def linearization_table(family: str) -> LinearizationTable:

@@ -23,8 +23,11 @@ import numpy as np
 from .basis import (
     BasisSpec,
     Series,
+    _basis_member_matrices,
+    _member_sum,
     _member_values,
     _mul_x_matrix,
+    _recurrence,
     basis_row,
     cached_block,
     evaluate,
@@ -110,19 +113,18 @@ def basis_to_power_matrix(basis: BasisSpec, n: int) -> np.ndarray:
     """
     n = _check_size(n)
     c1, c2 = basis.c1, basis.c2
-    alpha, beta, gamma = recurrence_coefficients(basis, n)
-    v = np.zeros((n, n))
-    v[0, 0] = 1.0
-    if n == 1:
-        return v
-    v[0, 1] = (c2 - beta[0]) / alpha[0]
-    v[1, 1] = c1 / alpha[0]
-    for j in range(1, n - 1):
+    beta = recurrence_coefficients(basis, n)[1]
+
+    def x_minus_beta(v, j):
         shifted = np.zeros(n)
-        shifted[1:] = v[:-1, j]
-        v[:, j + 1] = (c1 * shifted + (c2 - beta[j]) * v[:, j]
-                       - gamma[j] * v[:, j - 1]) / alpha[j]
-    return v
+        shifted[1:] = v[:-1]
+        if j == 0:
+            # adding -0.0 keeps the sign of c2 - beta_0, which is -0.0 on an
+            # interval symmetric about 0, in the constant term of P*_1
+            shifted[0] = -0.0
+        return c1 * shifted + (c2 - beta[j]) * v
+
+    return np.column_stack(list(_recurrence(basis, np.eye(n)[0], x_minus_beta, n)))
 
 
 def power_to_basis_matrix(basis: BasisSpec, n: int) -> np.ndarray:
@@ -147,17 +149,14 @@ def power_to_basis_matrix(basis: BasisSpec, n: int) -> np.ndarray:
 
 def _build_differentiation(basis: BasisSpec, n: int) -> np.ndarray:
     alpha, beta, gamma = recurrence_coefficients(basis, n)
-    d = np.zeros((n, n))
-    if n == 1:
-        return d
-    d[0, 1] = 1.0 / alpha[0]
-    for j in range(1, n - 1):
-        col = _mul_x_matrix(alpha, beta, gamma, d[:, j : j + 1])[:, 0]
+
+    def x_minus_beta(d, j):
+        col = _mul_x_matrix(alpha, beta, gamma, d)
         col[j] += 1.0
-        col -= beta[j] * d[:, j]
-        col -= gamma[j] * d[:, j - 1]
-        d[:, j + 1] = col / alpha[j]
-    return d
+        col -= beta[j] * d
+        return col
+
+    return np.column_stack(list(_recurrence(basis, np.zeros((n, 1)), x_minus_beta, n)))
 
 
 def differentiation_matrix(basis: BasisSpec, n: int) -> np.ndarray:
@@ -232,30 +231,6 @@ def calculus_powers(basis: BasisSpec, n: int):
         return powers[order]
 
     return power
-
-
-def _basis_member_matrices(basis: BasisSpec, n: int, count: int):
-    """Yield P_j evaluated at the multiplication matrix for j = 0..count-1."""
-    alpha, beta, gamma = recurrence_coefficients(basis, n)
-    prev = np.zeros((n, n))
-    curr = np.eye(n)
-    for j in range(count):
-        yield curr
-        if j + 1 < count:
-            nxt = _mul_x_matrix(alpha, beta, gamma, curr)
-            nxt -= beta[j] * curr
-            nxt -= gamma[j] * prev
-            nxt /= alpha[j]
-            prev, curr = curr, nxt
-
-
-def _member_sum(p: np.ndarray, members) -> np.ndarray:
-    """sum_j p[j] * members[j], accumulated in index order."""
-    members = iter(members)
-    acc = p[0] * next(members)
-    for c, pj in zip(p[1:], members):
-        acc = acc + c * pj
-    return acc
 
 
 def polynomial_multiplication_matrix(basis: BasisSpec, coeffs, n: int) -> np.ndarray:
@@ -385,6 +360,13 @@ def apply_order(series: Series, order: int) -> Series:
     return series
 
 
+def _row_antiderivatives(kernel: KernelPoly, series: Series):
+    """Yield (i, antiderivative of K_i(t) * series(t)) for each nonzero x-row K_i."""
+    for i, row in enumerate(kernel.coeffs):
+        if row.any():
+            yield i, series_antiderivative(product(Series(kernel.basis, row), series))
+
+
 def volterra_apply(kernel: KernelPoly, lower: float, series: Series) -> Series:
     """Exact image of a Series under the Volterra integral of a kernel.
 
@@ -392,41 +374,22 @@ def volterra_apply(kernel: KernelPoly, lower: float, series: Series) -> Series:
     it is suitable for residual checks against the assembled operator.
     """
     basis = kernel.basis
-    k = kernel.coeffs
-    nx = k.shape[0]
-    pieces = []
-    for i in range(nx):
-        if not k[i, :].any():
-            continue
-        t_poly = Series(basis, k[i, :])
-        integrand = product(t_poly, series)
-        g = series_antiderivative(integrand)
+    out = np.zeros(1)
+    for i, g in _row_antiderivatives(kernel, series):
         anchored = np.array(g.coeffs)
         anchored[0] -= evaluate(g, lower)
         e_i = np.zeros(i + 1)
         e_i[i] = 1.0
-        pieces.append(product(Series(basis, e_i), Series(basis, anchored)))
-    if not pieces:
-        return Series(basis, np.zeros(1))
-    out = np.zeros(max(p.coeffs.size for p in pieces))
-    for p in pieces:
-        out[: p.coeffs.size] += p.coeffs
+        piece = product(Series(basis, e_i), Series(basis, anchored)).coeffs
+        out = np.pad(out, (0, max(0, piece.size - out.size)))
+        out[: piece.size] += piece
     return Series(basis, out)
 
 
 def fredholm_apply(kernel: KernelPoly, series: Series) -> Series:
     """Exact image of a Series under the Fredholm integral of a kernel."""
-    basis = kernel.basis
-    k = kernel.coeffs
-    nx = k.shape[0]
-    a_dom, b_dom = basis.domain
-    out = np.zeros(nx)
-    for i in range(nx):
-        if not k[i, :].any():
-            continue
-        t_poly = Series(basis, k[i, :])
-        integrand = product(t_poly, series)
-        g = series_antiderivative(integrand)
-        at_a, at_b = evaluate(g, [a_dom, b_dom])
+    out = np.zeros(kernel.coeffs.shape[0])
+    for i, g in _row_antiderivatives(kernel, series):
+        at_a, at_b = evaluate(g, list(kernel.basis.domain))
         out[i] = at_b - at_a
-    return Series(basis, out)
+    return Series(kernel.basis, out)

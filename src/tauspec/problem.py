@@ -51,7 +51,7 @@ log = logging.getLogger("tauspec")
 DERIV_CAP = 8
 
 
-class Kind(enum.Enum):
+class Kind(str, enum.Enum):
     DERIVATIVE = "derivative"
     INTEGRAL = "integral"
     VOLTERRA = "volterra"
@@ -77,6 +77,7 @@ class LinearTermSpec:
     lower: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", Kind(self.kind))
         object.__setattr__(self, "coeff", tuple(float(c) for c in np.atleast_1d(self.coeff)))
         if self.kind is Kind.DERIVATIVE and self.order < 0:
             raise ValidationError("derivative order must be nonnegative")
@@ -103,7 +104,7 @@ class ProductTermSpec:
 
     factors: tuple
     weight: float = 1.0
-    enclosure: str | None = None
+    enclosure: Kind | None = None
     kernel: "ops.KernelPoly | None" = None
     lower: float | None = None
     augment: bool = False
@@ -115,10 +116,12 @@ class ProductTermSpec:
         if len(facs) < 2:
             raise ValidationError("a product term needs at least two factors")
         object.__setattr__(self, "factors", facs)
-        if self.enclosure not in (None, "volterra", "fredholm"):
-            raise ValidationError(f"unknown enclosure {self.enclosure!r}")
-        if self.enclosure is not None and self.kernel is None:
-            raise ValidationError("an enclosed product needs a kernel")
+        if self.enclosure is not None:
+            if self.enclosure not in (Kind.VOLTERRA, Kind.FREDHOLM):
+                raise ValidationError(f"unknown enclosure {self.enclosure!r}")
+            if self.kernel is None:
+                raise ValidationError("an enclosed product needs a kernel")
+            object.__setattr__(self, "enclosure", Kind(self.enclosure))
         if self.augment and self.enclosure is None:
             raise ValidationError("augmentation applies to products inside integrals")
 
@@ -266,6 +269,16 @@ def _doc_get(doc, key, where, required=True, default=None):
     return default
 
 
+def _doc_int(node, key, where, default=0) -> int:
+    """An integer entry of a document node: an int, or a float such as 2.0."""
+    value = node.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"must be an integer, got {value!r}", f"{where}.{key}")
+    return int(value)
+
+
 def _parse_poly(node, basis: BasisSpec, where: str) -> tuple:
     """A polynomial document node to shifted-basis coefficients."""
     if isinstance(node, (int, float)):
@@ -288,8 +301,23 @@ def _parse_poly(node, basis: BasisSpec, where: str) -> tuple:
     raise ValidationError(f"polynomial basis must be 'power' or 'orthogonal', got {kind!r}", where)
 
 
-def _parse_kernel(node, basis: BasisSpec, where: str):
-    """Kernel node {kernel: [[...]], lower?: x0} to (KernelPoly, lower)."""
+def _parse_factor(node, where: str) -> tuple:
+    if not isinstance(node, Mapping) or "var" not in node:
+        raise ValidationError("factor must be an object with a 'var' key", where)
+    order = _doc_int(node, "order" if "order" in node else "deriv", where)
+    return (str(node["var"]), order)
+
+
+def _parse_enclosure(node, basis: BasisSpec, where: str):
+    """(kind, KernelPoly, lower) of a term's volterra or fredholm node, or Nones.
+
+    That node is {kernel: [[...]], lower?: x0}.  A Volterra lower limit
+    defaults to the left end of the domain; a Fredholm term keeps none.
+    """
+    kind = next((k for k in (Kind.VOLTERRA, Kind.FREDHOLM) if k.value in node), None)
+    if kind is None:
+        return None, None, None
+    node, where = node[kind.value], f"{where}.{kind.value}"
     if not isinstance(node, Mapping):
         raise ValidationError("kernel spec must be an object", where)
     mat = _doc_get(node, "kernel", where)
@@ -300,21 +328,11 @@ def _parse_kernel(node, basis: BasisSpec, where: str):
     if arr.size == 0 or not np.all(np.isfinite(arr)):
         raise ValidationError("kernel matrix must be nonempty and finite", where)
     kernel = ops.kernel_from_power(basis, arr)
-    lower = node.get("lower")
-    if lower is not None:
-        lower = float(lower)
-        a, b = basis.domain
-        if not a <= lower <= b:
-            raise ValidationError(
-                f"lower limit {lower} outside the domain [{a}, {b}]", where)
-    return kernel, lower
-
-
-def _parse_factor(node, where: str) -> tuple:
-    if not isinstance(node, Mapping) or "var" not in node:
-        raise ValidationError("factor must be an object with a 'var' key", where)
-    order = int(node.get("order", node.get("deriv", 0)))
-    return (str(node["var"]), order)
+    a, b = basis.domain
+    lower = a if node.get("lower") is None else float(node["lower"])
+    if not a <= lower <= b:
+        raise ValidationError(f"lower limit {lower} outside the domain [{a}, {b}]", where)
+    return kind, kernel, lower if kind is Kind.VOLTERRA else None
 
 
 def _parse_term(node, basis: BasisSpec, where: str):
@@ -328,15 +346,7 @@ def _parse_term(node, basis: BasisSpec, where: str):
             _parse_factor(f, f"{where}.factors[{i}]")
             for i, f in enumerate(_doc_get(pnode, "factors", where)))
         weight = float(pnode.get("weight", 1.0))
-        enclosure = kernel = lower = None
-        if "volterra" in node:
-            enclosure = "volterra"
-            kernel, lower = _parse_kernel(node["volterra"], basis, f"{where}.volterra")
-            if lower is None:
-                lower = basis.domain[0]
-        elif "fredholm" in node:
-            enclosure = "fredholm"
-            kernel, _ = _parse_kernel(node["fredholm"], basis, f"{where}.fredholm")
+        enclosure, kernel, lower = _parse_enclosure(node, basis, where)
         init = node.get("augment_initial")
         if init is not None:
             if not isinstance(init, Mapping) or "point" not in init or "value" not in init:
@@ -353,19 +363,12 @@ def _parse_term(node, basis: BasisSpec, where: str):
         raise ValidationError("linear term needs a 'var' key", where)
     var = str(node["var"])
     coeff = _parse_poly(node.get("coeff", 1.0), basis, f"{where}.coeff")
-    if "volterra" in node:
-        kernel, lower = _parse_kernel(node["volterra"], basis, f"{where}.volterra")
-        if lower is None:
-            lower = basis.domain[0]
-        return LinearTermSpec(var, Kind.VOLTERRA, int(node.get("order", 0)),
-                              coeff, kernel, lower)
-    if "fredholm" in node:
-        kernel, _ = _parse_kernel(node["fredholm"], basis, f"{where}.fredholm")
-        return LinearTermSpec(var, Kind.FREDHOLM, int(node.get("order", 0)),
-                              coeff, kernel)
+    kind, kernel, lower = _parse_enclosure(node, basis, where)
+    if kind is not None:
+        return LinearTermSpec(var, kind, _doc_int(node, "order", where), coeff, kernel, lower)
     if "integral" in node:
-        return LinearTermSpec(var, Kind.INTEGRAL, int(node["integral"]), coeff)
-    return LinearTermSpec(var, Kind.DERIVATIVE, int(node.get("deriv", 0)), coeff)
+        return LinearTermSpec(var, Kind.INTEGRAL, _doc_int(node, "integral", where), coeff)
+    return LinearTermSpec(var, Kind.DERIVATIVE, _doc_int(node, "deriv", where), coeff)
 
 
 def _parse_condition(node, where: str) -> ConditionSpec:
@@ -380,7 +383,7 @@ def _parse_condition(node, where: str) -> ConditionSpec:
         if not isinstance(t, Mapping) or "var" not in t or "point" not in t:
             raise ValidationError("condition term needs 'var' and 'point'", tw)
         terms.append(ConditionTerm(
-            var=str(t["var"]), order=int(t.get("deriv", 0)),
+            var=str(t["var"]), order=_doc_int(t, "deriv", tw),
             point=float(t["point"]), weight=float(t.get("weight", 1.0))))
     value = float(_doc_get(node, "value", where))
     attach = node.get("attach_to")
@@ -392,13 +395,13 @@ def _parse_settings(node, where: str, overrides: Mapping) -> SolveSettings:
     node.update({k: v for k, v in overrides.items() if v is not None})
     if "n" not in node:
         raise ValidationError("missing working size 'n'", where)
-    n = int(node["n"])
+    n = _doc_int(node, "n", where)
     if n < 1:
         raise ValidationError(f"n must be positive, got {n}", where)
     tol = float(node.get("newton_tol", 1e-14))
     if not tol > 0:
         raise ValidationError("newton_tol must be positive", where)
-    max_iter = int(node.get("max_iter", 25))
+    max_iter = _doc_int(node, "max_iter", where, 25)
     if max_iter < 1:
         raise ValidationError("max_iter must be at least 1", where)
     initial = node.get("initial", "conditions")
@@ -554,9 +557,8 @@ def augment_variables(spec: ProblemSpec) -> ProblemSpec:
             point, value = _aux_initial(term, spec, aux)
             variables.append(aux)
             equations[e][1].remove(term)
-            kind = Kind.VOLTERRA if term.enclosure == "volterra" else Kind.FREDHOLM
             equations[e][0].append(LinearTermSpec(
-                var=aux, kind=kind, order=0, coeff=(term.weight,),
+                var=aux, kind=term.enclosure, order=0, coeff=(term.weight,),
                 kernel=term.kernel, lower=term.lower))
             defining = [ProductTermSpec(factors=p.factors, weight=-1.0)
                         for p in _chain_rule_products(term.factors)]
@@ -610,6 +612,15 @@ def _kernel_times_t_poly(kernel: "ops.KernelPoly", phi: Series, n: int) -> "ops.
     return ops.KernelPoly(kernel.basis, out)
 
 
+def _apply_integral(kind, kernel, lower, series: Series) -> Series:
+    """Exact image of a Series under a Volterra or Fredholm integral, else the Series."""
+    if kind is Kind.VOLTERRA:
+        return ops.volterra_apply(kernel, lower, series)
+    if kind is Kind.FREDHOLM:
+        return ops.fredholm_apply(kernel, series)
+    return series
+
+
 def linearize(spec: ProblemSpec, iterate: Mapping) -> ProblemSpec:
     """Freeze a Newton iterate: replace each product by its linear model.
 
@@ -643,17 +654,11 @@ def linearize(spec: ProblemSpec, iterate: Mapping) -> ProblemSpec:
                         var=v, kind=kind, order=abs(o), coeff=coeff))
                 else:
                     new_kernel = _kernel_times_t_poly(term.kernel, phi, n)
-                    kind = Kind.VOLTERRA if term.enclosure == "volterra" else Kind.FREDHOLM
                     linear.append(LinearTermSpec(
-                        var=v, kind=kind, order=o, coeff=(term.weight,),
+                        var=v, kind=term.enclosure, order=o, coeff=(term.weight,),
                         kernel=new_kernel, lower=term.lower))
             whole = _frozen_product(frozen, n)
-            if term.enclosure == "volterra":
-                moved = ops.volterra_apply(term.kernel, term.lower, whole)
-            elif term.enclosure == "fredholm":
-                moved = ops.fredholm_apply(term.kernel, whole)
-            else:
-                moved = whole
+            moved = _apply_integral(term.enclosure, term.kernel, term.lower, whole)
             corr = term.weight * (p - 1) * moved.coeffs
             corr = _truncated(corr, rhs.size, "rhs correction")
             rhs[: corr.size] += corr

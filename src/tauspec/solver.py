@@ -35,6 +35,7 @@ from .problem import (
     Kind,
     NewtonState,
     ProblemSpec,
+    _apply_integral,
     augment_variables,
     check_working_size,
     initial_iterate,
@@ -221,11 +222,8 @@ def solve_linear(system: TauSystem) -> tuple[np.ndarray, dict]:
 
 
 def _apply_linear_term_exact(term, iterate: Mapping) -> Series:
-    s = ops.apply_order(iterate[term.var], term.inner_order)
-    if term.kind is Kind.VOLTERRA:
-        s = ops.volterra_apply(term.kernel, term.lower, s)
-    elif term.kind is Kind.FREDHOLM:
-        s = ops.fredholm_apply(term.kernel, s)
+    s = _apply_integral(term.kind, term.kernel, term.lower,
+                        ops.apply_order(iterate[term.var], term.inner_order))
     coeff = np.asarray(term.coeff)
     if coeff.size == 1 and coeff[0] == 1.0:
         return s
@@ -237,10 +235,7 @@ def _apply_product_term_exact(term, iterate: Mapping) -> Series:
     for v, o in term.factors:
         s = ops.apply_order(iterate[v], o)
         acc = s if acc is None else product(acc, s)
-    if term.enclosure == "volterra":
-        acc = ops.volterra_apply(term.kernel, term.lower, acc)
-    elif term.enclosure == "fredholm":
-        acc = ops.fredholm_apply(term.kernel, acc)
+    acc = _apply_integral(term.enclosure, term.kernel, term.lower, acc)
     return Series(acc.basis, term.weight * acc.coeffs)
 
 

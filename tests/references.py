@@ -1,15 +1,124 @@
 """Straightforward versions of rewritten primitives, kept for bit identity.
 
-Each function here is the plain loop that a faster primitive in the
-package replaced.  Tests compare the two byte for byte, so a rewrite may
-skip work or vectorize it but never change the order of a floating point
-operation.
+Each function here is the plain loop that a faster or shorter primitive
+in the package replaced.  Tests compare the two byte for byte, so a
+rewrite may skip work, vectorize it or share it but never change the
+order of a floating point operation.
 """
 
 import numpy as np
 
 import tauspec as ts
-from tauspec.operators import _basis_member_matrices
+
+
+def _mul_x_matrix(alpha, beta, gamma, a):
+    n = a.shape[0]
+    out = beta[:n, None] * a
+    out[1:] += alpha[: n - 1, None] * a[:-1]
+    out[:-1] += gamma[1:n, None] * a[1:]
+    return out
+
+
+# -- the three term step, written out once per use --------------------------
+
+
+def member_values(basis, z, count):
+    """Yield P_0(z), ..., P_{count-1}(z) on the reference interval."""
+    alpha, beta, gamma = ts.recurrence_coefficients(basis, count)
+    p_prev = np.zeros_like(z)
+    p_curr = np.ones_like(z)
+    for i in range(count):
+        yield p_curr
+        if i + 1 < count:
+            p_next = ((z - beta[i]) * p_curr - gamma[i] * p_prev) / alpha[i]
+            p_prev, p_curr = p_curr, p_next
+
+
+def basis_member_matrices(basis, n, count):
+    """Yield P_j evaluated at the multiplication matrix for j = 0..count-1."""
+    alpha, beta, gamma = ts.recurrence_coefficients(basis, n)
+    prev = np.zeros((n, n))
+    curr = np.eye(n)
+    for j in range(count):
+        yield curr
+        if j + 1 < count:
+            nxt = _mul_x_matrix(alpha, beta, gamma, curr)
+            nxt -= beta[j] * curr
+            nxt -= gamma[j] * prev
+            nxt /= alpha[j]
+            prev, curr = curr, nxt
+
+
+def linearization_climb(basis, j):
+    """Rows (idx, vals) of P_k * P_j for k = 0..j, each grown one entry wider."""
+    rows = []
+    k, prev, curr = 0, np.zeros(j), np.zeros(j + 1)
+    curr[j] = 1.0
+    while True:
+        idx = np.nonzero(curr)[0]
+        rows.append((idx, curr[idx]))
+        if k == j:
+            return rows
+        alpha, beta, gamma = ts.recurrence_coefficients(basis, k + j + 2)
+        wide = np.append(curr, 0.0)
+        nxt = _mul_x_matrix(alpha, beta, gamma, wide[:, None])[:, 0]
+        nxt = (nxt - beta[k] * wide - gamma[k] * np.append(prev, [0.0, 0.0])) / alpha[k]
+        k, prev, curr = k + 1, curr, nxt
+
+
+def basis_to_power_matrix(basis, n):
+    """Columns hold the power-basis coefficients of each shifted member."""
+    c1, c2 = basis.c1, basis.c2
+    alpha, beta, gamma = ts.recurrence_coefficients(basis, n)
+    v = np.zeros((n, n))
+    v[0, 0] = 1.0
+    if n == 1:
+        return v
+    v[0, 1] = (c2 - beta[0]) / alpha[0]
+    v[1, 1] = c1 / alpha[0]
+    for j in range(1, n - 1):
+        shifted = np.zeros(n)
+        shifted[1:] = v[:-1, j]
+        v[:, j + 1] = (c1 * shifted + (c2 - beta[j]) * v[:, j]
+                       - gamma[j] * v[:, j - 1]) / alpha[j]
+    return v
+
+
+def differentiation_matrix(basis, n):
+    """Strictly upper triangular matrix of d/dx on the reference interval."""
+    alpha, beta, gamma = ts.recurrence_coefficients(basis, n)
+    d = np.zeros((n, n))
+    if n == 1:
+        return d
+    d[0, 1] = 1.0 / alpha[0]
+    for j in range(1, n - 1):
+        col = _mul_x_matrix(alpha, beta, gamma, d[:, j : j + 1])[:, 0]
+        col[j] += 1.0
+        col -= beta[j] * d[:, j]
+        col -= gamma[j] * d[:, j - 1]
+        d[:, j + 1] = col / alpha[j]
+    return d
+
+
+# -- callers of the step -----------------------------------------------------
+
+
+def basis_row(basis, x, n):
+    z = np.float64(basis.c1 * float(x) + basis.c2)
+    return np.fromiter(member_values(basis, z, n), float, n)
+
+
+def evaluate(series, xs):
+    """Series values by the forward recursion, without the domain warning."""
+    basis, coeffs = series.basis, series.coeffs
+    x = np.asarray(xs, dtype=float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    members = member_values(basis, basis.c1 * x + basis.c2, coeffs.size)
+    total = coeffs[0] * next(members)
+    for c, p in zip(coeffs[1:], members):
+        total = total + c * p
+    return float(total[0]) if scalar else total
 
 
 def pair_loop_product(p, q):
@@ -41,7 +150,7 @@ def per_column_volterra_operator(kernel, lower, n):
     os = ts.integration_matrix(basis, n) / basis.c1
     row_lo = ts.basis_row(basis, lower, n)
     acc = np.zeros((n, n))
-    for j, pj in enumerate(_basis_member_matrices(basis, n, nt)):
+    for j, pj in enumerate(basis_member_matrices(basis, n, nt)):
         col = np.zeros(n)
         col[:nx] = k[:, j]
         if not col.any():

@@ -198,6 +198,21 @@ def test_invalid_document_exits_one(tmp_path, capsys):
     assert "variables" in err
 
 
+def test_fractional_condition_order_exits_one_with_its_location(tmp_path, capsys):
+    doc = {
+        "basis": {"family": "ChebyshevT", "domain": [0.0, 1.0]},
+        "variables": ["y"],
+        "equations": [{"terms": [{"var": "y", "deriv": 1}, {"var": "y", "coeff": -1.0}]}],
+        "conditions": [{"terms": [{"var": "y", "point": 0.0, "deriv": 0.9}], "value": 1.0}],
+        "solve": {"n": 8},
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == 1
+    assert "conditions[0].terms[0].deriv: must be an integer, got 0.9" in err
+
+
 def test_nonconvergence_exits_two(capsys):
     with pytest.warns(ts.ConvergenceWarning):
         code, _, _ = run(capsys, "solve", "example1", "--max-iter", "1")

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import tauspec as ts
+from tauspec.basis import _basis_member_matrices, _member_values
 
 import oracles
 import references
@@ -182,6 +183,48 @@ def test_calculus_matrices_do_not_depend_on_call_order(family):
         assert build(fresh, 300).shape == (300, 300)
         assert build(fresh, 20).tobytes() == first
         assert build(ts.BasisSpec(family), 20).tobytes() == first
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_recurrence_users_match_the_step_loops_byte_for_byte(family):
+    """Every user of the shared three term step gives the bytes of its own loop.
+
+    A freshly registered copy of the family starts with empty caches, and
+    sizes and linearization rows are asked for out of order, so the caches
+    regrow on the way.  [-1, 1] has c2 = -0.0, so signed zeros count too.
+    """
+    name = f"StepCopy{family}"
+    ts.register_family(name, RECURRENCES[family])
+    rng = np.random.default_rng(8)
+    for domain in [(-1.0, 1.0), (0.0, 2.5), (-3.0, 0.5)]:
+        basis = ts.BasisSpec(name, domain)
+        xs = np.linspace(*domain, 9)
+        for n in (7, 130, 1, 40, 2):
+            series = ts.Series(basis, rng.standard_normal(n))
+            pairs = [
+                (ts.basis_row(basis, xs[3], n), references.basis_row(basis, xs[3], n)),
+                (ts.evaluate(series, xs), references.evaluate(series, xs)),
+                (np.float64(ts.evaluate(series, xs[5])),
+                 np.float64(references.evaluate(series, xs[5]))),
+                (ts.basis_to_power_matrix(basis, n), references.basis_to_power_matrix(basis, n)),
+                (ts.differentiation_matrix(basis, n), references.differentiation_matrix(basis, n)),
+                *zip(_member_values(basis, np.float64(-0.0), n),
+                     references.member_values(basis, np.float64(-0.0), n)),
+                *zip(_basis_member_matrices(basis, n, n),
+                     references.basis_member_matrices(basis, n, n)),
+            ]
+            for got, want in pairs:
+                assert got.tobytes() == want.tobytes()
+    table = ts.linearization_table(name)
+    for i, j in [(126, 135), (7, 3), (0, 0), (40, 135), (130, 1), (2, 2), (129, 130)]:
+        table.row(i, j)
+    climbs = {}
+    for (k, j), (idx, vals) in table._cache.items():
+        if j not in climbs:
+            climbs[j] = references.linearization_climb(ts.BasisSpec(name), j)
+        assert idx.tobytes() == climbs[j][k][0].tobytes()
+        assert vals.tobytes() == climbs[j][k][1].tobytes()
+    assert (126, 135) in table._cache and set(climbs) == {0, 2, 7, 130, 135}
 
 
 def test_cached_matrices_are_read_only():

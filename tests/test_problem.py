@@ -75,6 +75,71 @@ def test_parse_error_carries_location():
         ts.parse_problem(doc)
 
 
+def _set(path, value):
+    """Mutation that puts value at a path of keys and indices into the document."""
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, location", [
+    (_set(["equations", 0, "terms", 0, "deriv"], 1.7), r"equations\[0\]\.terms\[0\]\.deriv"),
+    (_set(["equations", 0, "terms", 0, "deriv"], True), r"terms\[0\]\.deriv"),
+    (_set(["equations", 0, "terms", 0, "deriv"], "x"), r"terms\[0\]\.deriv"),
+    (_set(["equations", 0, "terms", 1, "integral"], 1.5), r"terms\[1\]\.integral"),
+    (_set(["equations", 0, "terms", 1],
+          {"var": "y", "order": 0.5, "volterra": {"kernel": [[1.0]]}}), r"terms\[1\]\.order"),
+    (_set(["equations", 0, "terms", 1], {"product": {"factors": [
+        {"var": "y", "order": 1.5}, {"var": "y"}]}}), r"terms\[1\]\.factors\[0\]\.order"),
+    (_set(["equations", 0, "terms", 1], {"product": {"factors": [
+        {"var": "y", "deriv": False}, {"var": "y"}]}}), r"factors\[0\]\.deriv"),
+    (_set(["conditions", 0, "terms", 0, "deriv"], 0.9), r"conditions\[0\]\.terms\[0\]\.deriv"),
+    (_set(["solve", "n"], 12.9), r"solve\.n"),
+    (_set(["solve", "n"], "12"), r"solve\.n"),
+    (_set(["solve", "max_iter"], 2.5), r"solve\.max_iter"),
+    (_set(["solve", "max_iter"], True), r"solve\.max_iter"),
+])
+def test_integer_fields_reject_fractions_bools_and_strings(mutate, location):
+    doc = _doc()
+    mutate(doc)
+    with pytest.raises(ts.ValidationError, match=location + ": must be an integer"):
+        ts.parse_problem(doc)
+
+
+def test_integer_fields_take_integral_floats():
+    doc = _doc(solve={"n": 8.0, "max_iter": 3.0})
+    doc["equations"][0]["terms"][0]["deriv"] = 1.0
+    spec = ts.parse_problem(doc)
+    assert spec.settings.n == 8 and type(spec.settings.n) is int
+    assert spec.settings.max_iter == 3
+    assert spec.equations[0].linear[0].order == 1
+
+
+def test_integral_kind_has_one_spelling():
+    assert Kind.VOLTERRA == "volterra" and Kind.FREDHOLM == "fredholm"
+    spec = ts.parse_problem(_nonlinear_doc())
+    assert spec.equations[0].products[0].enclosure is Kind.FREDHOLM
+    for given, kind in (("volterra", Kind.VOLTERRA), (Kind.FREDHOLM, Kind.FREDHOLM),
+                        (None, None)):
+        term = ts.ProductTermSpec(factors=(("y", 0), ("y", 0)), enclosure=given,
+                                  kernel=spec.equations[0].products[0].kernel)
+        assert term.enclosure is kind
+    for bad in ("derivative", Kind.INTEGRAL, "Volterra"):
+        with pytest.raises(ts.ValidationError, match="enclosure"):
+            ts.ProductTermSpec(factors=(("y", 0), ("y", 0)), enclosure=bad)
+    # a linear term given its kind as a string is assembled as that kind
+    kernel = ts.kernel_from_power(spec.basis, [[1.0]])
+    term = ts.LinearTermSpec("y", "volterra", 0, (1.0,), kernel, 0.0)
+    assert term.kind is Kind.VOLTERRA
+    npt.assert_array_equal(
+        ts.assemble(ts.ProblemSpec(spec.basis, ("y",), (ts.EquationSpec((term,)),), (),
+                                   ts.SolveSettings(n=6))).matrix,
+        ts.volterra_operator(kernel, 0.0, 6))
+
+
 def test_system_must_be_square():
     doc = _doc(variables=["y", "z"])
     with pytest.raises(ts.ValidationError, match="square"):
