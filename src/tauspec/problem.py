@@ -49,6 +49,8 @@ __all__ = [
 log = logging.getLogger("tauspec")
 
 DERIV_CAP = 8
+# Largest finite float; a bigger int or a NaN fails ``abs(x) <= FLOAT_MAX``.
+FLOAT_MAX = float(np.finfo(float).max)
 
 
 class Kind(str, enum.Enum):
@@ -279,9 +281,21 @@ def _doc_int(node, key, where, default=0) -> int:
     return int(value)
 
 
+def _doc_float(node, key, where, default=None) -> float:
+    """A finite real entry of a document node; required unless a default is given."""
+    value = _doc_get(node, key, where, required=default is None, default=default)
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"must be a number, got {value!r}", f"{where}.{key}")
+    if not abs(value) <= FLOAT_MAX:
+        raise ValidationError(f"must be finite, got {value!r}", f"{where}.{key}")
+    return float(value)
+
+
 def _parse_poly(node, basis: BasisSpec, where: str) -> tuple:
     """A polynomial document node to shifted-basis coefficients."""
-    if isinstance(node, (int, float)):
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        if not abs(node) <= FLOAT_MAX:
+            raise ValidationError(f"must be finite, got {node!r}", where)
         return (float(node),)
     if not isinstance(node, Mapping):
         raise ValidationError(
@@ -329,7 +343,7 @@ def _parse_enclosure(node, basis: BasisSpec, where: str):
         raise ValidationError("kernel matrix must be nonempty and finite", where)
     kernel = ops.kernel_from_power(basis, arr)
     a, b = basis.domain
-    lower = a if node.get("lower") is None else float(node["lower"])
+    lower = a if node.get("lower") is None else _doc_float(node, "lower", where)
     if not a <= lower <= b:
         raise ValidationError(f"lower limit {lower} outside the domain [{a}, {b}]", where)
     return kind, kernel, lower if kind is Kind.VOLTERRA else None
@@ -345,14 +359,15 @@ def _parse_term(node, basis: BasisSpec, where: str):
         factors = tuple(
             _parse_factor(f, f"{where}.factors[{i}]")
             for i, f in enumerate(_doc_get(pnode, "factors", where)))
-        weight = float(pnode.get("weight", 1.0))
+        weight = _doc_float(pnode, "weight", f"{where}.product", 1.0)
         enclosure, kernel, lower = _parse_enclosure(node, basis, where)
         init = node.get("augment_initial")
         if init is not None:
             if not isinstance(init, Mapping) or "point" not in init or "value" not in init:
                 raise ValidationError(
                     "'augment_initial' must give {point, value}", where)
-            init = (float(init["point"]), float(init["value"]))
+            iw = f"{where}.augment_initial"
+            init = (_doc_float(init, "point", iw), _doc_float(init, "value", iw))
         return ProductTermSpec(
             factors=factors, weight=weight, enclosure=enclosure,
             kernel=kernel, lower=lower,
@@ -384,8 +399,8 @@ def _parse_condition(node, where: str) -> ConditionSpec:
             raise ValidationError("condition term needs 'var' and 'point'", tw)
         terms.append(ConditionTerm(
             var=str(t["var"]), order=_doc_int(t, "deriv", tw),
-            point=float(t["point"]), weight=float(t.get("weight", 1.0))))
-    value = float(_doc_get(node, "value", where))
+            point=_doc_float(t, "point", tw), weight=_doc_float(t, "weight", tw, 1.0)))
+    value = _doc_float(node, "value", where)
     attach = node.get("attach_to")
     return ConditionSpec(tuple(terms), value, attach)
 
@@ -398,7 +413,7 @@ def _parse_settings(node, where: str, overrides: Mapping) -> SolveSettings:
     n = _doc_int(node, "n", where)
     if n < 1:
         raise ValidationError(f"n must be positive, got {n}", where)
-    tol = float(node.get("newton_tol", 1e-14))
+    tol = _doc_float(node, "newton_tol", where, 1e-14)
     if not tol > 0:
         raise ValidationError("newton_tol must be positive", where)
     max_iter = _doc_int(node, "max_iter", where, 25)
@@ -411,10 +426,15 @@ def _parse_settings(node, where: str, overrides: Mapping) -> SolveSettings:
                 f"initial policy must be 'conditions', 'zero', or coefficients, "
                 f"got {initial!r}", where)
     elif isinstance(initial, Sequence):
-        initial = tuple(
-            tuple(float(c) for c in np.atleast_1d(row)) if isinstance(row, Sequence)
-            else float(row)
-            for row in initial)
+        try:
+            initial = tuple(
+                tuple(float(c) for c in np.atleast_1d(row)) if isinstance(row, Sequence)
+                else float(row)
+                for row in initial)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad coefficients: {exc}", f"{where}.initial") from None
+        if not all(np.all(np.isfinite(row)) for row in initial):
+            raise ValidationError("coefficients must be finite", f"{where}.initial")
     else:
         raise ValidationError("bad 'initial' entry", where)
     return SolveSettings(
@@ -591,10 +611,57 @@ def _truncated(coeffs: np.ndarray, n: int, what: str) -> np.ndarray:
     return coeffs[:n]
 
 
-def _frozen_product(series_list: list[Series], n: int) -> Series:
-    acc = series_list[0]
-    for s in series_list[1:]:
-        acc = product(acc, s)
+class FrozenIterate(dict):
+    """A Newton iterate, unknown -> Series, with what is computed from it.
+
+    ``factor((v, o))`` is ``apply_order(self[v], o)`` and ``pair(f, g)``
+    is the product of two factors, keyed unordered because ``product``
+    is bitwise symmetric.  Each is computed on first use and kept as
+    long as the mapping, so a candidate's exact defect and the
+    linearization around it share them.  The mapping is not changed
+    after it is built.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._factors: dict = {}
+        self._pairs: dict = {}
+
+    def factor(self, key: tuple) -> Series:
+        out = self._factors.get(key)
+        if out is None:
+            var, order = key
+            out = self._factors[key] = ops.apply_order(self[var], order)
+        return out
+
+    def pair(self, f: tuple, g: tuple) -> Series:
+        key = (f, g) if f <= g else (g, f)
+        out = self._pairs.get(key)
+        if out is None:
+            out = self._pairs[key] = product(self.factor(f), self.factor(g))
+        return out
+
+
+def freeze(iterate: Mapping) -> FrozenIterate:
+    """The iterate as a FrozenIterate: itself if it is one, else a new one."""
+    return iterate if isinstance(iterate, FrozenIterate) else FrozenIterate(iterate)
+
+
+def _frozen_product(frozen: FrozenIterate, factors: tuple, n: int | None = None) -> Series:
+    """Product of the factors at the iterate, multiplied left to right.
+
+    The first two factors come as their shared pair.  With ``n``, every
+    multiplication is cut to n coefficients, as the linearization needs;
+    without it the product is exact.
+    """
+    if len(factors) == 1:
+        return frozen.factor(factors[0])
+    acc = frozen.pair(factors[0], factors[1])
+    for f in factors[2:]:
+        if n is not None:
+            acc = Series(acc.basis, _truncated(acc.coeffs, n, "frozen product"))
+        acc = product(acc, frozen.factor(f))
+    if n is not None:
         acc = Series(acc.basis, _truncated(acc.coeffs, n, "frozen product"))
     return acc
 
@@ -632,6 +699,7 @@ def linearize(spec: ProblemSpec, iterate: Mapping) -> ProblemSpec:
     """
     if spec.is_linear:
         return spec
+    frozen = freeze(iterate)
     n = spec.settings.n
     equations = []
     for eq in spec.equations:
@@ -639,12 +707,9 @@ def linearize(spec: ProblemSpec, iterate: Mapping) -> ProblemSpec:
         rhs = np.zeros(max(len(eq.rhs), n))
         rhs[: len(eq.rhs)] = eq.rhs
         for term in eq.products:
-            frozen = [
-                ops.apply_order(iterate[v], o) for v, o in term.factors]
             p = len(term.factors)
             for i, (v, o) in enumerate(term.factors):
-                others = [frozen[j] for j in range(p) if j != i]
-                phi = _frozen_product(others, n)
+                phi = _frozen_product(frozen, term.factors[:i] + term.factors[i + 1:], n)
                 if term.enclosure is None:
                     # one frozen antiderivative keeps n + 1 coefficients
                     phi_n = _truncated(phi.coeffs, n, "frozen coefficient")
@@ -657,7 +722,7 @@ def linearize(spec: ProblemSpec, iterate: Mapping) -> ProblemSpec:
                     linear.append(LinearTermSpec(
                         var=v, kind=term.enclosure, order=o, coeff=(term.weight,),
                         kernel=new_kernel, lower=term.lower))
-            whole = _frozen_product(frozen, n)
+            whole = _frozen_product(frozen, term.factors, n)
             moved = _apply_integral(term.enclosure, term.kernel, term.lower, whole)
             corr = term.weight * (p - 1) * moved.coeffs
             corr = _truncated(corr, rhs.size, "rhs correction")

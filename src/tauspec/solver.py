@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -32,12 +33,15 @@ from .errors import (
 )
 from . import operators as ops
 from .problem import (
+    FrozenIterate,
     Kind,
     NewtonState,
     ProblemSpec,
     _apply_integral,
+    _frozen_product,
     augment_variables,
     check_working_size,
+    freeze,
     initial_iterate,
     linearize,
 )
@@ -139,12 +143,21 @@ def _term_matrix(term, basis, n: int, power, where: str) -> np.ndarray:
     return outer @ core
 
 
+def _term_key(term) -> tuple:
+    """The exact inputs of a term's matrix, all but its variable, as bytes."""
+    kernel = term.kernel
+    return (term.kind, term.order, np.array(term.coeff).tobytes(),
+            None if kernel is None else (kernel.coeffs.shape, kernel.coeffs.tobytes()),
+            None if term.lower is None else np.float64(term.lower).tobytes())
+
+
 def assemble(spec: ProblemSpec, n: int | None = None) -> TauSystem:
     """Build the square system for a linearized (or linear) spec.
 
     Rows are stacked as all condition rows first, in document order,
     then for each equation its first n - (conditions charged to it)
-    coefficient rows.
+    coefficient rows.  Terms that differ only in their variable share one
+    matrix, built once per call and added once per occurrence.
     """
     if not spec.is_linear:
         raise ValidationError(
@@ -165,6 +178,11 @@ def assemble(spec: ProblemSpec, n: int | None = None) -> TauSystem:
     a = np.zeros((size, size))
     b = np.zeros(size)
     row_map: list = []
+    # a matrix is kept only while a later term shares its key, so peak
+    # memory stays that of building one matrix per term
+    keys = [[_term_key(term) for term in eq.linear] for eq in spec.equations]
+    left = Counter(key for row in keys for key in row)
+    matrices: dict = {}
     r = 0
     for ci, cond in enumerate(spec.conditions):
         for t in cond.terms:
@@ -176,8 +194,13 @@ def assemble(spec: ProblemSpec, n: int | None = None) -> TauSystem:
     for e, eq in enumerate(spec.equations):
         keep = n - nu_e[e]
         blocks: dict = {}
-        for ti, term in enumerate(eq.linear):
-            mat = _term_matrix(term, basis, n, power, f"equations[{e}].terms[{ti}]")
+        for ti, (term, key) in enumerate(zip(eq.linear, keys[e])):
+            mat = matrices.pop(key, None)
+            if mat is None:
+                mat = _term_matrix(term, basis, n, power, f"equations[{e}].terms[{ti}]")
+            left[key] -= 1
+            if left[key]:
+                matrices[key] = mat
             if term.var in blocks:
                 blocks[term.var] = blocks[term.var] + mat
             else:
@@ -194,7 +217,7 @@ def assemble(spec: ProblemSpec, n: int | None = None) -> TauSystem:
 
 
 def solve_linear(system: TauSystem) -> tuple[np.ndarray, dict]:
-    """LU solve with partial pivoting and a pivot-based singularity check."""
+    """LU solve with partial pivoting, a pivot-based singularity check, and a finite result."""
     a, b = system.matrix, system.rhs
     scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
     try:
@@ -213,6 +236,10 @@ def solve_linear(system: TauSystem) -> tuple[np.ndarray, dict]:
             f"system numerically singular: pivot {pivots[worst]:.3e} below "
             f"{threshold:.3e} at elimination step {worst} (near row {origin})")
     x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    if not np.all(np.isfinite(x)):
+        raise SingularSystemError(
+            "system numerically singular: the solve gave non-finite "
+            "coefficients although no pivot fell below the threshold")
     diagnostics = {
         "pivot_min": float(pivots.min()) if pivots.size else 0.0,
         "pivot_max": float(pivots.max()) if pivots.size else 0.0,
@@ -221,20 +248,17 @@ def solve_linear(system: TauSystem) -> tuple[np.ndarray, dict]:
     return x, diagnostics
 
 
-def _apply_linear_term_exact(term, iterate: Mapping) -> Series:
+def _apply_linear_term_exact(term, frozen: FrozenIterate) -> Series:
     s = _apply_integral(term.kind, term.kernel, term.lower,
-                        ops.apply_order(iterate[term.var], term.inner_order))
+                        frozen.factor((term.var, term.inner_order)))
     coeff = np.asarray(term.coeff)
     if coeff.size == 1 and coeff[0] == 1.0:
         return s
     return product(Series(s.basis, coeff), s)
 
 
-def _apply_product_term_exact(term, iterate: Mapping) -> Series:
-    acc = None
-    for v, o in term.factors:
-        s = ops.apply_order(iterate[v], o)
-        acc = s if acc is None else product(acc, s)
+def _apply_product_term_exact(term, frozen: FrozenIterate) -> Series:
+    acc = _frozen_product(frozen, term.factors)
     acc = _apply_integral(term.enclosure, term.kernel, term.lower, acc)
     return Series(acc.basis, term.weight * acc.coeffs)
 
@@ -260,15 +284,18 @@ def equation_defects(spec: ProblemSpec, iterate: Mapping) -> list[Series]:
 
     All term applications run in expanded coefficient space, so the
     result measures the true equation mismatch of the iterate, including
-    everything the working-size assembly truncates.
+    everything the working-size assembly truncates.  A FrozenIterate
+    keeps the factors and pair products computed here for a later
+    ``linearize`` around the same iterate.
     """
+    frozen = freeze(iterate)
     out = []
     for eq in spec.equations:
         total = None
         for term in eq.linear:
-            total = _accumulate(total, _apply_linear_term_exact(term, iterate))
+            total = _accumulate(total, _apply_linear_term_exact(term, frozen))
         for term in eq.products:
-            total = _accumulate(total, _apply_product_term_exact(term, iterate))
+            total = _accumulate(total, _apply_product_term_exact(term, frozen))
         rhs = np.asarray(eq.rhs, dtype=float)
         if total is None:
             total = np.zeros(max(rhs.size, 1))
@@ -326,13 +353,14 @@ def _update_norm(new: Mapping, old: Mapping) -> float:
 def _candidate(spec: ProblemSpec, lin: ProblemSpec):
     """Assemble and solve the linear(ized) ``lin``; judge the result against ``spec``.
 
-    Returns the candidate iterate, its exact equation defects, their
-    largest coefficient, and the diagnostics of the linear solve.
+    Returns the candidate as a FrozenIterate, its exact equation defects,
+    their largest coefficient, and the diagnostics of the linear solve.
     """
     vec, diagnostics = solve_linear(assemble(lin))
     n = spec.settings.n
-    candidate = {v: Series(spec.basis, vec[i * n : (i + 1) * n])
-                 for i, v in enumerate(spec.variables)}
+    candidate = FrozenIterate(
+        (v, Series(spec.basis, vec[i * n : (i + 1) * n]))
+        for i, v in enumerate(spec.variables))
     defects = equation_defects(spec, candidate)
     return candidate, defects, _max_abs(defects), diagnostics
 
@@ -346,14 +374,16 @@ def solve(spec: ProblemSpec) -> TauSolution:
     iterate size, or max_iter is reached; running out of sweeps returns
     the best iterate with ``converged`` False rather than raising.
     The exact defects of every candidate are evaluated once and serve the
-    Newton log, the damping test and the residual report.
+    Newton log, the damping test and the residual report; the factors and
+    pair products they freeze serve the next sweep's linearization.  The
+    solution and the log hold plain dicts.
     """
     spec = augment_variables(spec)
     check_working_size(spec)
     n = spec.settings.n
     if spec.is_linear:
         iterate, defects, res, diagnostics = _candidate(spec, spec)
-        newton = [NewtonState(1, iterate, 0.0, res)]
+        newton = [NewtonState(1, dict(iterate), 0.0, res)]
         converged = True
     else:
         tol = spec.settings.newton_tol
@@ -365,17 +395,17 @@ def solve(spec: ProblemSpec) -> TauSolution:
             candidate, defects, res, diagnostics = _candidate(spec, linearize(spec, iterate))
             if spec.settings.damping and res > prev_res:
                 for _ in range(6):
-                    mixed = {
-                        v: Series(spec.basis, 0.5 * (candidate[v].coeffs
-                                                     + _padded(iterate[v].coeffs, n)))
-                        for v in spec.variables}
+                    mixed = FrozenIterate(
+                        (v, Series(spec.basis, 0.5 * (candidate[v].coeffs
+                                                      + _padded(iterate[v].coeffs, n))))
+                        for v in spec.variables)
                     mixed_defects = equation_defects(spec, mixed)
                     mixed_res = _max_abs(mixed_defects)
                     if mixed_res >= res:
                         break
                     candidate, defects, res = mixed, mixed_defects, mixed_res
             update = _update_norm(candidate, iterate)
-            newton.append(NewtonState(k, candidate, update, res))
+            newton.append(NewtonState(k, dict(candidate), update, res))
             iterate = candidate
             prev_res = res
             if update <= tol * max(1.0, _max_abs(iterate.values())):
@@ -387,7 +417,7 @@ def solve(spec: ProblemSpec) -> TauSolution:
                 f"{spec.settings.max_iter} sweeps (last update {update:.3e})",
                 ConvergenceWarning, stacklevel=2)
     return TauSolution(
-        spec=spec, n=n, series=iterate, newton=newton,
+        spec=spec, n=n, series=dict(iterate), newton=newton,
         residual=residual_report(spec, iterate, defects),
         converged=converged, diagnostics=diagnostics)
 

@@ -197,3 +197,43 @@ def eval_oracle(family: str, domain, coeffs, x) -> Fraction:
 
 def as_floats(mat: list) -> list:
     return [[float(x) for x in row] for row in mat]
+
+
+def _times_x(family: str, k: int) -> tuple:
+    """(a, c) with x P_k = a P_{k+1} + c P_{k-1} on [-1, 1], from the defining recurrence."""
+    if family == "ChebyshevT":
+        return (F1, F0) if k == 0 else (Fraction(1, 2), Fraction(1, 2))
+    return Fraction(k + 1, 2 * k + 1), Fraction(k, 2 * k + 1)
+
+
+def recurrence_product_oracle(family: str, a_coeffs, b_coeffs) -> list:
+    """Coefficients of the product of two expansions, with no truncation.
+
+    The same exact rationals as ``product_oracle``, computed without the
+    power basis: p P_0, p P_1, ... follow from the defining recurrence,
+    each from the two before it, and are summed with the weights of q.
+    That is O(size^2) Fraction operations, so it reaches lengths where the
+    power route is too slow.  The map to the reference interval is affine,
+    so the domain does not enter.
+    """
+    pa = [Fraction(float(c)) for c in a_coeffs]
+    pb = [Fraction(float(c)) for c in b_coeffs]
+    size = len(pa) + len(pb) - 1
+    prev, curr = [F0] * size, pa + [F0] * (len(pb) - 1)
+    total = [F0] * size
+    for j, weight in enumerate(pb):
+        if weight:
+            total = [t + weight * c for t, c in zip(total, curr)]
+        if j + 1 == len(pb):
+            break
+        # p P_{j+1} = (x p P_j - c_j p P_{j-1}) / a_j
+        xc = [F0] * size
+        for k, c in enumerate(curr):
+            if c:
+                up, down = _times_x(family, k)
+                xc[k + 1] += up * c
+                if k:
+                    xc[k - 1] += down * c
+        up, down = _times_x(family, j)
+        prev, curr = curr, [(x - down * p) / up for x, p in zip(xc, prev)]
+    return total

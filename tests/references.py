@@ -6,6 +6,8 @@ rewrite may skip work, vectorize it or share it but never change the
 order of a floating point operation.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 import tauspec as ts
@@ -159,3 +161,104 @@ def per_column_volterra_operator(kernel, lower, n):
         b = b - np.outer(col, row_lo)
         acc += b @ os @ pj
     return acc
+
+
+# -- a Newton sweep that freezes nothing ------------------------------------
+
+
+def _frozen_product(series_list, n):
+    acc = series_list[0]
+    for s in series_list[1:]:
+        acc = ts.product(acc, s)
+        acc = ts.Series(acc.basis, ts.problem._truncated(acc.coeffs, n, "frozen product"))
+    return acc
+
+
+def linearize(spec, iterate):
+    """Linearization that recomputes every factor and product it uses."""
+    problem = ts.problem
+    if spec.is_linear:
+        return spec
+    n = spec.settings.n
+    equations = []
+    for eq in spec.equations:
+        linear = list(eq.linear)
+        rhs = np.zeros(max(len(eq.rhs), n))
+        rhs[: len(eq.rhs)] = eq.rhs
+        for term in eq.products:
+            frozen = [ts.apply_order(iterate[v], o) for v, o in term.factors]
+            p = len(term.factors)
+            for i, (v, o) in enumerate(term.factors):
+                others = [frozen[j] for j in range(p) if j != i]
+                phi = _frozen_product(others, n)
+                if term.enclosure is None:
+                    phi_n = problem._truncated(phi.coeffs, n, "frozen coefficient")
+                    coeff = tuple(term.weight * phi_n)
+                    kind = problem.Kind.DERIVATIVE if o >= 0 else problem.Kind.INTEGRAL
+                    linear.append(problem.LinearTermSpec(
+                        var=v, kind=kind, order=abs(o), coeff=coeff))
+                else:
+                    new_kernel = problem._kernel_times_t_poly(term.kernel, phi, n)
+                    linear.append(problem.LinearTermSpec(
+                        var=v, kind=term.enclosure, order=o, coeff=(term.weight,),
+                        kernel=new_kernel, lower=term.lower))
+            whole = _frozen_product(frozen, n)
+            moved = problem._apply_integral(term.enclosure, term.kernel, term.lower, whole)
+            corr = term.weight * (p - 1) * moved.coeffs
+            corr = problem._truncated(corr, rhs.size, "rhs correction")
+            rhs[: corr.size] += corr
+        equations.append(problem.EquationSpec(tuple(linear), (), tuple(rhs)))
+    return replace(spec, equations=tuple(equations))
+
+
+def apply_product_term_exact(term, iterate):
+    """Exact product term, its factors multiplied in the written order."""
+    acc = None
+    for v, o in term.factors:
+        s = ts.apply_order(iterate[v], o)
+        acc = s if acc is None else ts.product(acc, s)
+    acc = ts.problem._apply_integral(term.enclosure, term.kernel, term.lower, acc)
+    return ts.Series(acc.basis, term.weight * acc.coeffs)
+
+
+def assemble(spec, n=None):
+    """Assembly that builds one matrix per term occurrence."""
+    solver = ts.solver
+    if n is None:
+        n = spec.settings.n
+    basis = spec.basis
+    m = len(spec.variables)
+    col_of = {v: slice(i * n, (i + 1) * n) for i, v in enumerate(spec.variables)}
+    charged = solver._attribution(spec)
+    nu_e = [charged.count(e) for e in range(m)]
+    power = ts.calculus_powers(basis, n)
+    size = m * n
+    a = np.zeros((size, size))
+    b = np.zeros(size)
+    row_map = []
+    r = 0
+    for ci, cond in enumerate(spec.conditions):
+        for t in cond.terms:
+            row = ts.basis_row(basis, t.point, n) @ power(t.order)
+            a[r, col_of[t.var]] += t.weight * row
+        b[r] = cond.value
+        row_map.append(("condition", ci))
+        r += 1
+    for e, eq in enumerate(spec.equations):
+        keep = n - nu_e[e]
+        blocks = {}
+        for ti, term in enumerate(eq.linear):
+            mat = solver._term_matrix(term, basis, n, power, f"equations[{e}].terms[{ti}]")
+            if term.var in blocks:
+                blocks[term.var] = blocks[term.var] + mat
+            else:
+                blocks[term.var] = mat
+        for var, mat in blocks.items():
+            a[r : r + keep, col_of[var]] = mat[:keep]
+        rhs = np.zeros(keep)
+        take = min(keep, len(eq.rhs))
+        rhs[:take] = eq.rhs[:take]
+        b[r : r + keep] = rhs
+        row_map.extend(("equation", e, k) for k in range(keep))
+        r += keep
+    return solver.TauSystem(basis, spec.variables, n, a, b, row_map, col_of)

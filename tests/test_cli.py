@@ -7,6 +7,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import tauspec as ts
 from tauspec.cli import main, render_rows
@@ -211,6 +212,32 @@ def test_fractional_condition_order_exits_one_with_its_location(tmp_path, capsys
     code, _, err = run(capsys, "solve", str(path))
     assert code == 1
     assert "conditions[0].terms[0].deriv: must be an integer, got 0.9" in err
+
+
+def test_non_numeric_condition_point_exits_one_with_its_location(tmp_path, capsys):
+    doc = {
+        "basis": {"family": "ChebyshevT", "domain": [0.0, 1.0]},
+        "variables": ["y"],
+        "equations": [{"terms": [{"var": "y", "deriv": 1}, {"var": "y", "coeff": -1.0}]}],
+        "conditions": [{"terms": [{"var": "y", "point": "x"}], "value": 1.0}],
+        "solve": {"n": 8},
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == 1
+    assert "conditions[0].terms[0].point: must be a number, got 'x'" in err
+
+
+def test_non_finite_linear_solve_exits_three(monkeypatch, capsys):
+    """An overflowing solve is a singular system, not bad input."""
+    def overflowing(lu_and_piv, b, **kwargs):
+        return np.full_like(b, np.inf)
+
+    monkeypatch.setattr(scipy.linalg, "lu_solve", overflowing)
+    code, _, err = run(capsys, "solve", "exp-ode")
+    assert code == 3
+    assert "non-finite" in err
 
 
 def test_nonconvergence_exits_two(capsys):

@@ -118,6 +118,68 @@ def test_integer_fields_take_integral_floats():
     assert spec.equations[0].linear[0].order == 1
 
 
+def _augmented_doc(**initial):
+    """A Volterra product marked for augmentation, its initial value given."""
+    doc = _doc()
+    doc["equations"][0]["terms"][1] = {
+        "product": {"factors": [{"var": "y"}, {"var": "y"}]},
+        "volterra": {"kernel": [[1.0]]}, "augment": True,
+        "augment_initial": dict({"point": 0.0, "value": 1.0}, **initial)}
+    return doc
+
+
+@pytest.mark.parametrize("mutate, location, problem", [
+    (_set(["conditions", 0, "terms", 0, "point"], "x"), r"conditions\[0\]\.terms\[0\]\.point",
+     "must be a number, got 'x'"),
+    (_set(["conditions", 0, "terms", 0, "weight"], True), r"terms\[0\]\.weight",
+     "must be a number"),
+    (_set(["conditions", 0, "value"], "1"), r"conditions\[0\]\.value", "must be a number"),
+    (_set(["conditions", 0, "value"], float("inf")), r"conditions\[0\]\.value",
+     "must be finite"),
+    (_set(["conditions", 0, "value"], 10 ** 400), r"conditions\[0\]\.value",
+     "must be finite"),
+    (_set(["equations", 0, "terms", 1],
+          {"var": "y", "volterra": {"kernel": [[1.0]], "lower": "0"}}),
+     r"terms\[1\]\.volterra\.lower", "must be a number"),
+    (_set(["solve", "newton_tol"], "tight"), r"solve\.newton_tol", "must be a number"),
+    (_set(["solve", "newton_tol"], float("nan")), r"solve\.newton_tol", "must be finite"),
+    (_set(["equations", 0, "terms", 1], {"product": {
+        "factors": [{"var": "y"}, {"var": "y"}], "weight": "2"}}),
+     r"terms\[1\]\.product\.weight", "must be a number"),
+    (_set(["solve", "initial"], [["x"]]), r"solve\.initial", "bad coefficients"),
+    (_set(["solve", "initial"], [[1.0, float("nan")]]), r"solve\.initial",
+     "coefficients must be finite"),
+    (_set(["equations", 0, "rhs"], float("nan")), r"equations\[0\]\.rhs", "must be finite"),
+    (_set(["equations", 0, "rhs"], 10 ** 400), r"equations\[0\]\.rhs", "must be finite"),
+    (_set(["equations", 0, "terms", 1, "coeff"], True), r"terms\[1\]\.coeff",
+     "polynomial must be a number"),
+], ids=["point", "weight", "value", "value-inf", "value-huge-int", "lower", "newton_tol", "newton_tol-nan",
+        "product-weight", "initial", "initial-nan", "rhs-nan", "rhs-huge-int", "coeff-bool"])
+def test_float_fields_reject_non_numbers_with_their_location(mutate, location, problem):
+    doc = _doc()
+    mutate(doc)
+    with pytest.raises(ts.ValidationError, match=location + ": " + problem):
+        ts.parse_problem(doc)
+
+
+@pytest.mark.parametrize("key", ["point", "value"])
+def test_augment_initial_rejects_non_numbers_with_its_location(key):
+    with pytest.raises(ts.ValidationError,
+                       match=rf"terms\[1\]\.augment_initial\.{key}: must be a number"):
+        ts.parse_problem(_augmented_doc(**{key: "x"}))
+
+
+def test_float_fields_take_ints_and_numpy_floats():
+    doc = _doc(solve={"n": 8, "newton_tol": np.float64(1e-12)})
+    doc["conditions"][0] = {"terms": [{"var": "y", "point": 0, "weight": 2}], "value": 1}
+    spec = ts.parse_problem(doc)
+    term = spec.conditions[0].terms[0]
+    assert (term.point, term.weight, spec.conditions[0].value) == (0.0, 2.0, 1.0)
+    assert type(term.point) is float and spec.settings.newton_tol == 1e-12
+    aug = ts.parse_problem(_augmented_doc(point=0, value=1))
+    assert aug.equations[0].products[0].augment_initial == (0.0, 1.0)
+
+
 def test_integral_kind_has_one_spelling():
     assert Kind.VOLTERRA == "volterra" and Kind.FREDHOLM == "fredholm"
     spec = ts.parse_problem(_nonlinear_doc())

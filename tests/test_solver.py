@@ -7,8 +7,12 @@ from importlib import resources
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 import tauspec as ts
+from tauspec.problem import Kind
+
+import references
 
 
 def builtin(name):
@@ -95,6 +99,14 @@ def test_solve_linear_flags_singular_system():
     }
     system = ts.assemble(ts.parse_problem(doc))
     with pytest.raises(ts.SingularSystemError, match="singular"):
+        ts.solve_linear(system)
+
+
+def test_solve_linear_rejects_a_non_finite_solution(monkeypatch):
+    system = ts.assemble(ts.parse_problem(builtin("exp-ode")))
+    monkeypatch.setattr(scipy.linalg, "lu_solve",
+                        lambda lu_and_piv, b, **kwargs: np.full_like(b, np.nan))
+    with pytest.raises(ts.SingularSystemError, match="non-finite"):
         ts.solve_linear(system)
 
 
@@ -255,13 +267,19 @@ def judged(monkeypatch):
     return calls
 
 
+def _same_iterate(judged_iterate, series):
+    """The judged iterate holds the very Series objects the solution returns."""
+    return (judged_iterate.keys() == series.keys()
+            and all(judged_iterate[v] is series[v] for v in series))
+
+
 @pytest.mark.parametrize("label, sweeps", [
     ("linear", 1), ("newton", 6), ("out-of-sweeps", 2)])
 def test_one_exact_defect_per_candidate(judged, label, sweeps):
     sol = _solve_run(label)
     assert len(sol.newton) == sweeps
     assert len(judged) == sweeps
-    assert judged[-1] is sol.series
+    assert _same_iterate(judged[-1], sol.series)
 
 
 def test_damping_judges_each_mix_once(judged):
@@ -269,7 +287,138 @@ def test_damping_judges_each_mix_once(judged):
     assert sol.converged
     assert len(judged) > len(sol.newton)
     assert len({id(it) for it in judged}) == len(judged)
-    assert any(it is sol.series for it in judged)
+    assert any(_same_iterate(it, sol.series) for it in judged)
+
+
+@pytest.mark.parametrize("label", sorted(RUNS))
+def test_solution_and_log_hold_plain_dicts(label):
+    """The per-candidate factors and pair products do not outlive the solve."""
+    sol = _solve_run(label)
+    assert type(sol.series) is dict
+    assert all(type(state.iterate) is dict for state in sol.newton)
+
+
+# -- one freeze per candidate, one matrix per distinct term ------------------
+
+
+@pytest.fixture
+def full_products(monkeypatch):
+    """Every product of two factors longer than one coefficient, in call order."""
+    calls = []
+    original = ts.basis.product
+
+    def counting(p, q):
+        if min(p.coeffs.size, q.coeffs.size) > 1:
+            calls.append((p, q))
+        return original(p, q)
+
+    for module in (ts, ts.basis, ts.problem, ts.solver, ts.operators):
+        if getattr(module, "product", None) is original:
+            monkeypatch.setattr(module, "product", counting)
+    return calls
+
+
+@pytest.mark.parametrize("settings", [{}, {"damping": True}], ids=["plain", "damped"])
+def test_one_full_product_per_candidate(judged, full_products, settings):
+    """Augmented example1 multiplies y by y' once per candidate.
+
+    Its chain rule holds both y'·y and y·y'; the exact defect and the next
+    sweep's linearization all read the one pair product.  With damping,
+    every mix is a candidate of its own.
+    """
+    doc = builtin("example1")
+    doc["solve"].update(settings)
+    sol = ts.solve(ts.parse_problem(doc))
+    assert sol.converged
+    assert len(judged) >= len(sol.newton) > 1
+    assert len(full_products) == len(judged)
+
+
+def test_each_distinct_volterra_block_is_built_once_per_assembly(monkeypatch):
+    built = []
+    original_operator = ts.operators.volterra_operator
+
+    def counting_operator(*args):
+        built.append(args)
+        return original_operator(*args)
+
+    seen = []
+    original_assemble = ts.solver.assemble
+
+    def counting_assemble(spec, n=None):
+        before = len(built)
+        system = original_assemble(spec, n)
+        terms = [t for eq in spec.equations for t in eq.linear if t.kind is Kind.VOLTERRA]
+        distinct = {(t.order, t.coeff, t.kernel.coeffs.tobytes(), t.lower) for t in terms}
+        seen.append((len(built) - before, len(distinct), len(terms)))
+        return system
+
+    monkeypatch.setattr(ts.operators, "volterra_operator", counting_operator)
+    monkeypatch.setattr(ts.solver, "assemble", counting_assemble)
+    sol = ts.solve(ts.parse_problem(builtin("example2")))
+    assert sol.converged
+    assert len(seen) == len(sol.newton)
+    assert all(calls == distinct for calls, distinct, _ in seen)
+    # the two -1 * [[0, -1], [1, 0]] terms, and each square's two halves
+    assert all(distinct < total for _, distinct, total in seen)
+
+
+def _cube_doc(enclosed: bool) -> dict:
+    """y' + y^3 = 0, y(0) = 1/2: a product of three factors, bare or under a kernel."""
+    term = {"product": {"factors": [{"var": "y"}] * 3}}
+    if enclosed:
+        term["volterra"] = {"kernel": [[1.0, 0.5]], "lower": 0.0}
+    return {
+        "basis": {"family": "ChebyshevT", "domain": [0.0, 1.0]},
+        "variables": ["y"],
+        "equations": [{"terms": [{"var": "y", "deriv": 1}, term], "rhs": 0.0}],
+        "conditions": [{"terms": [{"var": "y", "point": 0.0}], "value": 0.5}],
+        "solve": {"n": 20},
+    }
+
+
+SHARING_RUNS = {
+    "example1": lambda: builtin("example1"),
+    "example2": lambda: builtin("example2"),
+    "cube": lambda: _cube_doc(False),
+    "cube-volterra": lambda: _cube_doc(True),
+    "damped": lambda: dict(builtin("example1"), solve={"n": 17, "damping": True}),
+}
+
+
+def _solution_bytes(sol) -> list:
+    out = [sol.series[v].coeffs.tobytes() for v in sol.spec.variables]
+    for state in sol.newton:
+        out.append(np.array([state.iteration, state.update_norm, state.residual_norm]).tobytes())
+        out.extend(state.iterate[v].coeffs.tobytes() for v in sol.spec.variables)
+    out.extend(d.coeffs.tobytes() for d in sol.residual.defect_series)
+    return out
+
+
+@pytest.mark.parametrize("family", [ts.CHEBYSHEV, ts.LEGENDRE])
+@pytest.mark.parametrize("label", sorted(SHARING_RUNS))
+def test_frozen_candidates_match_the_plain_sweep_byte_for_byte(monkeypatch, label, family):
+    """Sharing factors, pairs and term matrices changes no bit.
+
+    The plain sweep recomputes every factor and product in the written
+    order and builds one matrix per term occurrence.
+    """
+    doc = SHARING_RUNS[label]()
+    doc["basis"]["family"] = family
+
+    def run():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ts.ConvergenceWarning)
+            return ts.solve(ts.parse_problem(doc))
+
+    shared = run()
+    monkeypatch.setattr(ts.solver, "linearize", references.linearize)
+    monkeypatch.setattr(ts.solver, "_apply_product_term_exact",
+                        references.apply_product_term_exact)
+    monkeypatch.setattr(ts.solver, "assemble", references.assemble)
+    plain = run()
+    assert len(shared.newton) > 1
+    assert _solution_bytes(shared) == _solution_bytes(plain)
 
 
 @pytest.mark.parametrize("label", sorted(RUNS))
