@@ -200,7 +200,14 @@ def cmd_solve(args) -> int:
     return 0 if sol.converged else 2
 
 
+def _grid_size(args) -> int:
+    if args.grid < 2:
+        raise ValidationError(f"--grid must be at least 2, got {args.grid}")
+    return args.grid
+
+
 def cmd_convergence(args) -> int:
+    grid_size = _grid_size(args)
     label, spec, exact = _parse_overridden(args)
     try:
         ns = [int(s) for s in args.ns.split(",") if s.strip()]
@@ -208,7 +215,7 @@ def cmd_convergence(args) -> int:
         raise ValidationError(f"bad --ns list {args.ns!r}") from None
     if not ns:
         raise ValidationError("--ns must list at least one working size")
-    rows = convergence_study(spec, ns, exact=exact, grid_size=args.grid)
+    rows = convergence_study(spec, ns, exact=exact, grid_size=grid_size)
     payload = [
         {"n": r.n, "error": r.error, "residual": r.residual,
          "iterations": r.iterations, "seconds": r.seconds, "failure": r.failure}
@@ -238,10 +245,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
+    grid_size = _grid_size(args)
     label, spec, exact = _parse_overridden(args)
     sol = solve(spec)
     a, b = spec.basis.domain
-    grid = np.linspace(a, b, args.grid)
+    grid = np.linspace(a, b, grid_size)
 
     def write(f):
         writer = csv.writer(f, lineterminator="\n")

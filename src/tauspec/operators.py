@@ -45,6 +45,7 @@ __all__ = [
     "differentiation_matrix",
     "integration_matrix",
     "calculus_powers",
+    "MemberMatrices",
     "polynomial_multiplication_matrix",
     "volterra_operator",
     "fredholm_operator",
@@ -233,13 +234,53 @@ def calculus_powers(basis: BasisSpec, n: int):
     return power
 
 
-def polynomial_multiplication_matrix(basis: BasisSpec, coeffs, n: int) -> np.ndarray:
+class MemberMatrices:
+    """Read-only members P_j(J) at working size n, J the multiplication matrix.
+
+    ``members(count)`` returns P_0(J), ..., P_{count-1}(J).  They depend
+    only on the family and n, so the store walks the recurrence once,
+    resuming where the largest earlier request stopped, and keeps every
+    member it has made for its own life.  A solve makes one store and
+    hands it to every operator it builds; a lone operator call makes its
+    own.
+    """
+
+    def __init__(self, basis: BasisSpec, n: int):
+        self.basis = basis
+        self.n = _check_size(n)
+        self._walk = _basis_member_matrices(basis, self.n, self.n)
+        self._members: list = []
+
+    def __call__(self, count: int) -> list:
+        if count > self.n:
+            raise ValueError(f"{count} members asked for at working size {self.n}")
+        while len(self._members) < count:
+            pj = next(self._walk)
+            pj.flags.writeable = False
+            self._members.append(pj)
+        return self._members[:count]
+
+
+def _members_at(basis: BasisSpec, n: int, members: MemberMatrices | None) -> MemberMatrices:
+    """The given store, checked against basis and n, or a new one."""
+    if members is None:
+        return MemberMatrices(basis, n)
+    if members.basis != basis or members.n != n:
+        raise ValueError(
+            f"member store is for {members.basis} at n={members.n}, "
+            f"not {basis} at n={n}")
+    return members
+
+
+def polynomial_multiplication_matrix(basis: BasisSpec, coeffs, n: int,
+                                     members: MemberMatrices | None = None) -> np.ndarray:
     """Matrix of multiplication by a polynomial given in the shifted basis.
 
     ``coeffs`` are the coefficients of the multiplier on the working
     interval.  The matrix is the coefficient-weighted sum of basis
     members evaluated at the multiplication matrix, truncated to the
-    working size.
+    working size.  ``members`` is a MemberMatrices store of this basis
+    and n to read them from.
     """
     n = _check_size(n)
     p = np.atleast_1d(np.asarray(coeffs, dtype=float))
@@ -248,7 +289,7 @@ def polynomial_multiplication_matrix(basis: BasisSpec, coeffs, n: int) -> np.nda
     if p.size > n:
         raise ValueError(
             f"coefficient polynomial has {p.size} coefficients, working size is {n}")
-    return _member_sum(p, _basis_member_matrices(basis, n, p.size))
+    return _member_sum(p, _members_at(basis, n, members)(p.size))
 
 
 def _clipped_kernel(kernel: KernelPoly, n: int) -> np.ndarray:
@@ -261,14 +302,16 @@ def _clipped_kernel(kernel: KernelPoly, n: int) -> np.ndarray:
     return k
 
 
-def volterra_operator(kernel: KernelPoly, lower: float, n: int) -> np.ndarray:
+def volterra_operator(kernel: KernelPoly, lower: float, n: int,
+                      members: MemberMatrices | None = None) -> np.ndarray:
     """Operator of y -> integral from ``lower`` to x of K(x, t) y(t) dt.
 
     Assembled per kernel column: the t dependence acts through basis
     members evaluated at the multiplication matrix, the antiderivative
     supplies the integral, and a rank-one correction subtracts the value
-    at the lower limit so the image vanishes there.  The x-side members
-    are built once and weighted by each column's coefficients.
+    at the lower limit so the image vanishes there.  The x-side and
+    t-side members are read from ``members``, a MemberMatrices store of
+    this basis and n, or from a new one.
     """
     basis = kernel.basis
     n = _check_size(n)
@@ -276,23 +319,25 @@ def volterra_operator(kernel: KernelPoly, lower: float, n: int) -> np.ndarray:
     nx, nt = k.shape
     os = integration_matrix(basis, n) / basis.c1
     row_lo = basis_row(basis, lower, n)
-    x_members = list(_basis_member_matrices(basis, n, nx))
+    pm = _members_at(basis, n, members)(max(nx, nt))
     acc = np.zeros((n, n))
-    for j, pj in enumerate(_basis_member_matrices(basis, n, nt)):
+    for j, pj in enumerate(pm[:nt]):
         col = np.zeros(n)
         col[:nx] = k[:, j]
         if not col.any():
             continue
-        b = _member_sum(k[:, j], x_members) - np.outer(col, row_lo)
+        b = _member_sum(k[:, j], pm) - np.outer(col, row_lo)
         acc += b @ os @ pj
     return acc
 
 
-def fredholm_operator(kernel: KernelPoly, n: int) -> np.ndarray:
+def fredholm_operator(kernel: KernelPoly, n: int,
+                      members: MemberMatrices | None = None) -> np.ndarray:
     """Operator of y -> integral over the whole interval of K(x, t) y(t) dt.
 
     The result of the integral is a polynomial in x of the kernel's x
-    degree, so rows beyond that degree are exactly zero.
+    degree, so rows beyond that degree are exactly zero.  The t-side
+    members are read from ``members`` as in ``volterra_operator``.
     """
     basis = kernel.basis
     n = _check_size(n)
@@ -302,7 +347,7 @@ def fredholm_operator(kernel: KernelPoly, n: int) -> np.ndarray:
     os = integration_matrix(basis, n) / basis.c1
     r = (basis_row(basis, b_dom, n) - basis_row(basis, a_dom, n)) @ os
     acc = np.zeros((n, n))
-    for j, pj in enumerate(_basis_member_matrices(basis, n, nt)):
+    for j, pj in enumerate(_members_at(basis, n, members)(nt)):
         v = r @ pj
         acc[:nx] += np.outer(k[:, j], v)
     return acc

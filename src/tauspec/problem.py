@@ -271,14 +271,18 @@ def _doc_get(doc, key, where, required=True, default=None):
     return default
 
 
-def _doc_int(node, key, where, default=0) -> int:
-    """An integer entry of a document node: an int, or a float such as 2.0."""
-    value = node.get(key, default)
+def _as_int(value, where) -> int:
+    """An integer input: an int, or a float such as 2.0, but not a bool."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"must be an integer, got {value!r}", f"{where}.{key}")
+        raise ValidationError(f"must be an integer, got {value!r}", where)
     return int(value)
+
+
+def _doc_int(node, key, where, default=0) -> int:
+    """An integer entry of a document node: an int, or a float such as 2.0."""
+    return _as_int(node.get(key, default), f"{where}.{key}")
 
 
 def _doc_float(node, key, where, default=None) -> float:
@@ -701,6 +705,8 @@ def linearize(spec: ProblemSpec, iterate: Mapping) -> ProblemSpec:
         return spec
     frozen = freeze(iterate)
     n = spec.settings.n
+    # terms that share a kernel and the factors of phi share one new kernel
+    kernels: dict = {}
     equations = []
     for eq in spec.equations:
         linear = list(eq.linear)
@@ -709,8 +715,9 @@ def linearize(spec: ProblemSpec, iterate: Mapping) -> ProblemSpec:
         for term in eq.products:
             p = len(term.factors)
             for i, (v, o) in enumerate(term.factors):
-                phi = _frozen_product(frozen, term.factors[:i] + term.factors[i + 1:], n)
+                others = term.factors[:i] + term.factors[i + 1:]
                 if term.enclosure is None:
+                    phi = _frozen_product(frozen, others, n)
                     # one frozen antiderivative keeps n + 1 coefficients
                     phi_n = _truncated(phi.coeffs, n, "frozen coefficient")
                     coeff = tuple(term.weight * phi_n)
@@ -718,7 +725,12 @@ def linearize(spec: ProblemSpec, iterate: Mapping) -> ProblemSpec:
                     linear.append(LinearTermSpec(
                         var=v, kind=kind, order=abs(o), coeff=coeff))
                 else:
-                    new_kernel = _kernel_times_t_poly(term.kernel, phi, n)
+                    k = term.kernel.coeffs
+                    key = (k.shape, k.tobytes(), others)
+                    new_kernel = kernels.get(key)
+                    if new_kernel is None:
+                        phi = _frozen_product(frozen, others, n)
+                        new_kernel = kernels[key] = _kernel_times_t_poly(term.kernel, phi, n)
                     linear.append(LinearTermSpec(
                         var=v, kind=term.enclosure, order=o, coeff=(term.weight,),
                         kernel=new_kernel, lower=term.lower))

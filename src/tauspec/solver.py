@@ -38,6 +38,7 @@ from .problem import (
     NewtonState,
     ProblemSpec,
     _apply_integral,
+    _as_int,
     _frozen_product,
     augment_variables,
     check_working_size,
@@ -123,21 +124,27 @@ def _attribution(spec: ProblemSpec) -> list[int]:
     return out
 
 
-def _term_matrix(term, basis, n: int, power, where: str) -> np.ndarray:
+def _kernel_core(term, n: int, power, members) -> np.ndarray:
+    """The integral operator of a kernel term, the unknown's order folded in."""
+    if term.kind is Kind.VOLTERRA:
+        core = ops.volterra_operator(term.kernel, term.lower, n, members)
+    else:
+        core = ops.fredholm_operator(term.kernel, n, members)
+    if term.order:
+        core = core @ power(term.order)
+    return core
+
+
+def _term_matrix(term, basis, n: int, power, members, kernel_core, where: str) -> np.ndarray:
     try:
-        outer = ops.polynomial_multiplication_matrix(basis, term.coeff, n)
+        outer = ops.polynomial_multiplication_matrix(basis, term.coeff, n, members)
     except ValueError as exc:
         raise ValidationError(
             f"{exc}; increase n to fit the coefficient polynomial", where) from None
     if term.kind in (Kind.DERIVATIVE, Kind.INTEGRAL):
         core = power(term.inner_order)
     else:
-        if term.kind is Kind.VOLTERRA:
-            core = ops.volterra_operator(term.kernel, term.lower, n)
-        else:
-            core = ops.fredholm_operator(term.kernel, n)
-        if term.order:
-            core = core @ power(term.order)
+        core = kernel_core(term)
     if len(term.coeff) == 1 and term.coeff[0] == 1.0:
         return core
     return outer @ core
@@ -151,13 +158,33 @@ def _term_key(term) -> tuple:
             None if term.lower is None else np.float64(term.lower).tobytes())
 
 
-def assemble(spec: ProblemSpec, n: int | None = None) -> TauSystem:
+def _core_key(key: tuple) -> tuple:
+    """The part of a term key that fixes its kernel core: all but the coefficient."""
+    return key[:2] + key[3:]
+
+
+def _shared(memo: dict, left: Counter, key, build):
+    """memo[key], or build(); kept in memo only while ``left`` counts a later use."""
+    mat = memo.pop(key, None)
+    if mat is None:
+        mat = build()
+    left[key] -= 1
+    if left[key]:
+        memo[key] = mat
+    return mat
+
+
+def assemble(spec: ProblemSpec, n: int | None = None,
+             members: ops.MemberMatrices | None = None) -> TauSystem:
     """Build the square system for a linearized (or linear) spec.
 
     Rows are stacked as all condition rows first, in document order,
     then for each equation its first n - (conditions charged to it)
     coefficient rows.  Terms that differ only in their variable share one
-    matrix, built once per call and added once per occurrence.
+    matrix, built once per call and added once per occurrence; kernel
+    terms that differ only in their coefficient share one kernel core.
+    ``members`` is the MemberMatrices store of the basis at n that every
+    operator reads; without it the call makes its own.
     """
     if not spec.is_linear:
         raise ValidationError(
@@ -174,15 +201,25 @@ def assemble(spec: ProblemSpec, n: int | None = None) -> TauSystem:
             raise ValidationError(
                 f"equation {e} is charged {nu} conditions but only has {n} rows")
     power = ops.calculus_powers(basis, n)
+    if members is None:
+        members = ops.MemberMatrices(basis, n)
     size = m * n
     a = np.zeros((size, size))
     b = np.zeros(size)
     row_map: list = []
-    # a matrix is kept only while a later term shares its key, so peak
+    # a matrix is kept only while a later term shares its key, and a
+    # kernel core only while a later distinct term needs it, so peak
     # memory stays that of building one matrix per term
     keys = [[_term_key(term) for term in eq.linear] for eq in spec.equations]
     left = Counter(key for row in keys for key in row)
+    cores_left = Counter(_core_key(key) for key in left if key[3] is not None)
     matrices: dict = {}
+    cores: dict = {}
+
+    def kernel_core(term):
+        return _shared(cores, cores_left, _core_key(_term_key(term)),
+                       lambda: _kernel_core(term, n, power, members))
+
     r = 0
     for ci, cond in enumerate(spec.conditions):
         for t in cond.terms:
@@ -195,12 +232,8 @@ def assemble(spec: ProblemSpec, n: int | None = None) -> TauSystem:
         keep = n - nu_e[e]
         blocks: dict = {}
         for ti, (term, key) in enumerate(zip(eq.linear, keys[e])):
-            mat = matrices.pop(key, None)
-            if mat is None:
-                mat = _term_matrix(term, basis, n, power, f"equations[{e}].terms[{ti}]")
-            left[key] -= 1
-            if left[key]:
-                matrices[key] = mat
+            mat = _shared(matrices, left, key, lambda: _term_matrix(
+                term, basis, n, power, members, kernel_core, f"equations[{e}].terms[{ti}]"))
             if term.var in blocks:
                 blocks[term.var] = blocks[term.var] + mat
             else:
@@ -350,14 +383,14 @@ def _update_norm(new: Mapping, old: Mapping) -> float:
     return worst
 
 
-def _candidate(spec: ProblemSpec, lin: ProblemSpec):
+def _candidate(spec: ProblemSpec, lin: ProblemSpec, members: ops.MemberMatrices):
     """Assemble and solve the linear(ized) ``lin``; judge the result against ``spec``.
 
     Returns the candidate as a FrozenIterate, its exact equation defects,
     their largest coefficient, and the diagnostics of the linear solve.
     """
-    vec, diagnostics = solve_linear(assemble(lin))
     n = spec.settings.n
+    vec, diagnostics = solve_linear(assemble(lin, n, members))
     candidate = FrozenIterate(
         (v, Series(spec.basis, vec[i * n : (i + 1) * n]))
         for i, v in enumerate(spec.variables))
@@ -375,14 +408,16 @@ def solve(spec: ProblemSpec) -> TauSolution:
     the best iterate with ``converged`` False rather than raising.
     The exact defects of every candidate are evaluated once and serve the
     Newton log, the damping test and the residual report; the factors and
-    pair products they freeze serve the next sweep's linearization.  The
-    solution and the log hold plain dicts.
+    pair products they freeze serve the next sweep's linearization.  One
+    MemberMatrices store at the working size serves every assembly of the
+    solve and dies with it.  The solution and the log hold plain dicts.
     """
     spec = augment_variables(spec)
     check_working_size(spec)
     n = spec.settings.n
+    members = ops.MemberMatrices(spec.basis, n)
     if spec.is_linear:
-        iterate, defects, res, diagnostics = _candidate(spec, spec)
+        iterate, defects, res, diagnostics = _candidate(spec, spec, members)
         newton = [NewtonState(1, dict(iterate), 0.0, res)]
         converged = True
     else:
@@ -392,7 +427,8 @@ def solve(spec: ProblemSpec) -> TauSolution:
         converged = False
         prev_res = np.inf
         for k in range(1, spec.settings.max_iter + 1):
-            candidate, defects, res, diagnostics = _candidate(spec, linearize(spec, iterate))
+            candidate, defects, res, diagnostics = _candidate(
+                spec, linearize(spec, iterate), members)
             if spec.settings.damping and res > prev_res:
                 for _ in range(6):
                     mixed = FrozenIterate(
@@ -467,15 +503,21 @@ def convergence_study(spec: ProblemSpec, ns: Sequence[int],
     """Solve the same problem over a sweep of working sizes.
 
     ``exact`` maps variable names to callables; the error column is the
-    max over those variables of the max grid error (uniform grid).  A
-    size that fails with a solver or input error (TauError, ValueError)
-    is recorded in its row and the sweep continues; any other exception
-    propagates.
+    max over those variables of the max grid error (uniform grid of
+    ``grid_size`` >= 2 points).  Sizes and the grid size are integers or
+    integral floats; anything else raises a ValidationError before any
+    solve.  A size that fails with a solver or input error (TauError,
+    ValueError) is recorded in its row and the sweep continues; any other
+    exception propagates.
     """
+    grid_size = _as_int(grid_size, "grid_size")
+    if grid_size < 2:
+        raise ValidationError(f"must be at least 2, got {grid_size}", "grid_size")
+    sizes = sorted({_as_int(n, f"ns[{i}]") for i, n in enumerate(ns)})
     a, b = spec.basis.domain
     grid = np.linspace(a, b, grid_size)
     rows = []
-    for n in sorted(set(int(n) for n in ns)):
+    for n in sizes:
         run_spec = replace(spec, settings=replace(spec.settings, n=n))
         t0 = time.perf_counter()
         try:

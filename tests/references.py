@@ -221,8 +221,33 @@ def apply_product_term_exact(term, iterate):
     return ts.Series(acc.basis, term.weight * acc.coeffs)
 
 
-def assemble(spec, n=None):
-    """Assembly that builds one matrix per term occurrence."""
+def _term_matrix(term, basis, n, power, where):
+    """One term's matrix, every operator walking its own member matrices."""
+    try:
+        outer = ts.polynomial_multiplication_matrix(basis, term.coeff, n)
+    except ValueError as exc:
+        raise ts.ValidationError(
+            f"{exc}; increase n to fit the coefficient polynomial", where) from None
+    if term.kind in (ts.problem.Kind.DERIVATIVE, ts.problem.Kind.INTEGRAL):
+        core = power(term.inner_order)
+    else:
+        if term.kind is ts.problem.Kind.VOLTERRA:
+            core = ts.volterra_operator(term.kernel, term.lower, n)
+        else:
+            core = ts.fredholm_operator(term.kernel, n)
+        if term.order:
+            core = core @ power(term.order)
+    if len(term.coeff) == 1 and term.coeff[0] == 1.0:
+        return core
+    return outer @ core
+
+
+def assemble(spec, n=None, members=None):
+    """Assembly that builds one matrix per term occurrence.
+
+    ``members`` is accepted and ignored: every operator walks its own
+    member matrices, as each call did before a solve shared one store.
+    """
     solver = ts.solver
     if n is None:
         n = spec.settings.n
@@ -248,7 +273,7 @@ def assemble(spec, n=None):
         keep = n - nu_e[e]
         blocks = {}
         for ti, term in enumerate(eq.linear):
-            mat = solver._term_matrix(term, basis, n, power, f"equations[{e}].terms[{ti}]")
+            mat = _term_matrix(term, basis, n, power, f"equations[{e}].terms[{ti}]")
             if term.var in blocks:
                 blocks[term.var] = blocks[term.var] + mat
             else:

@@ -240,6 +240,19 @@ def test_non_finite_linear_solve_exits_three(monkeypatch, capsys):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("convergence", "example1", "--ns", "5,9", "--grid", "0"),
+    ("convergence", "exp-ode", "--ns", "8", "--grid", "1"),
+    ("plotdata", "example1", "--grid", "0"),
+    ("plotdata", "exp-ode", "--grid", "-3"),
+], ids=["convergence-0", "convergence-1", "plotdata-0", "plotdata-negative"])
+def test_grid_below_two_exits_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"--grid must be at least 2, got {argv[-1]}" in err
+
+
 def test_nonconvergence_exits_two(capsys):
     with pytest.warns(ts.ConvergenceWarning):
         code, _, _ = run(capsys, "solve", "example1", "--max-iter", "1")

@@ -273,6 +273,44 @@ def test_volterra_operator_bytes_match_per_column_build(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+def test_a_shared_member_store_changes_no_bit(family):
+    """Operators read from one store, in any order, match lone calls byte for byte."""
+    rng = np.random.default_rng(43)
+    basis = ts.BasisSpec(family, (-0.5, 1.5))
+    n = 16
+    kernels = [ts.KernelPoly(basis, rng.standard_normal(shape))
+               for shape in ((2, 5), (9, 1), (4, 4), (3, 12), (1, 2))]
+    builds = [
+        *(lambda m, c=c: ts.polynomial_multiplication_matrix(basis, c, n, m)
+          for c in (rng.standard_normal(3), rng.standard_normal(n), [2.0])),
+        *(lambda m, k=k: ts.volterra_operator(k, 0.25, n, m) for k in kernels[:3]),
+        *(lambda m, k=k: ts.fredholm_operator(k, n, m) for k in kernels[3:]),
+    ]
+    store = ts.MemberMatrices(basis, n)
+    for build in builds:
+        assert build(store).tobytes() == build(None).tobytes()
+    members = store(n)
+    assert [m.tobytes() for m in members] == [
+        m.tobytes() for m in references.basis_member_matrices(basis, n, n)]
+    assert all(a is b for a, b in zip(store(5), members))
+    with pytest.raises(ValueError):
+        members[3][0, 0] = 1.0
+
+
+def test_member_store_is_checked_against_basis_and_size():
+    basis = ts.BasisSpec(ts.CHEBYSHEV, (0.0, 1.0))
+    store = ts.MemberMatrices(basis, 8)
+    with pytest.raises(ValueError, match="9 members asked for at working size 8"):
+        store(9)
+    with pytest.raises(ValueError, match="member store is for"):
+        ts.polynomial_multiplication_matrix(basis, [1.0, 2.0], 9, store)
+    other = ts.BasisSpec(ts.LEGENDRE, (0.0, 1.0))
+    kernel = ts.KernelPoly(other, [[1.0, 0.5]])
+    with pytest.raises(ValueError, match="member store is for"):
+        ts.fredholm_operator(kernel, 8, store)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_volterra_value_vanishes_at_lower_limit(family):
     basis = ts.BasisSpec(family, (0.0, 1.0))
     n = 12

@@ -1,13 +1,16 @@
-"""Property-based checks of the product in the orthogonal basis.
+"""Property-based checks of the product and of manufactured linear solves.
 
 The Newton sweep shares one product per unordered pair of frozen factors
 between the exact defect and the linearization, which is only
 byte-identical to multiplying in the written order if product(p, q) and
-product(q, p) agree bitwise.
+product(q, p) agree bitwise.  A linear problem whose exact solution is a
+polynomial below the working size is solved exactly by the tau method,
+up to rounding, whatever its polynomial coefficients and kernels.
 """
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 import tauspec as ts
 
@@ -63,3 +66,83 @@ def test_product_oracles_agree_exactly():
                 a[rng.integers(0, a.size)] = 0.0
                 assert (oracles.recurrence_product_oracle(family, a, b)
                         == oracles.product_oracle(family, domain, a, b))
+
+
+# -- manufactured linear problems ---------------------------------------------
+
+UNIT = st.floats(-1.0, 1.0)
+
+
+def _power_kernel(draw) -> np.ndarray:
+    """k[i, j] of x^i t^j, up to degree 2 in each variable, entries in [-0.25, 0.25]."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return 0.25 * np.array(draw(st.lists(
+        st.lists(UNIT, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+
+
+def _kernel_image(kernel, u, upper) -> np.ndarray:
+    """Power coefficients of x -> integral from 0 to upper(x) of K(x, t) u(t) dt.
+
+    ``upper`` is None for the variable limit x, else the fixed limit.
+    """
+    out = np.zeros(1)
+    for i, row in enumerate(kernel):
+        for j, kij in enumerate(row):
+            prim = P.polyint(P.polymul(np.eye(j + 1)[j], u), lbnd=0.0)
+            if upper is None:
+                piece = P.polymul(np.eye(i + 1)[i], prim)
+            else:
+                piece = P.polyval(upper, prim) * np.eye(i + 1)[i]
+            out = P.polyadd(out, kij * piece)
+    return out
+
+
+@st.composite
+def manufactured(draw):
+    """y' * p1 + p0 * y + Volterra + Fredholm = f on [0, L], y(0) given.
+
+    The exact solution u and every coefficient and kernel are drawn in
+    powers of x; f follows from u in exact numpy polynomial algebra.
+    p1 = 1 + (small) keeps the leading coefficient away from zero, and
+    the kernels stay small, so every drawn problem is well posed.
+    """
+    length = draw(st.floats(0.5, 1.0))
+    degree = draw(st.integers(0, 8))
+    u = np.array(draw(st.lists(UNIT, min_size=degree + 1, max_size=degree + 1)))
+    u[0] = 1.0 + abs(u[0])
+    u = u / length ** np.arange(degree + 1)
+    p1 = P.polyadd([1.0], 0.3 * np.array(draw(st.lists(UNIT, min_size=1, max_size=3))))
+    p0 = np.array(draw(st.lists(UNIT, min_size=1, max_size=3)))
+    kv, kf = _power_kernel(draw), _power_kernel(draw)
+    rhs = P.polymul(p1, P.polyder(u)) if degree else np.zeros(1)
+    rhs = P.polyadd(rhs, P.polymul(p0, u))
+    rhs = P.polyadd(rhs, _kernel_image(kv, u, None))
+    rhs = P.polyadd(rhs, _kernel_image(kf, u, length))
+    n = degree + draw(st.integers(8, 16))
+    doc = {
+        "basis": {"family": draw(st.sampled_from(FAMILIES)), "domain": [0.0, length]},
+        "variables": ["y"],
+        "equations": [{
+            "terms": [
+                {"var": "y", "deriv": 1, "coeff": {"basis": "power", "coeffs": p1.tolist()}},
+                {"var": "y", "coeff": {"basis": "power", "coeffs": p0.tolist()}},
+                {"var": "y", "volterra": {"kernel": kv.tolist(), "lower": 0.0}},
+                {"var": "y", "fredholm": {"kernel": kf.tolist()}},
+            ],
+            "rhs": {"basis": "power", "coeffs": rhs.tolist()},
+        }],
+        "conditions": [{"terms": [{"var": "y", "point": 0.0}], "value": float(u[0])}],
+        "solve": {"n": n},
+    }
+    return doc, u
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(case=manufactured())
+def test_manufactured_linear_problems_are_solved_exactly(case):
+    doc, u = case
+    sol = ts.solve(ts.parse_problem(doc))
+    grid = np.linspace(0.0, doc["basis"]["domain"][1], 101)
+    exact = P.polyval(grid, u)
+    got = ts.evaluate(sol["y"], grid)
+    assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+import weakref
 from importlib import resources
 
 import numpy as np
@@ -335,22 +336,29 @@ def test_one_full_product_per_candidate(judged, full_products, settings):
 
 
 def test_each_distinct_volterra_block_is_built_once_per_assembly(monkeypatch):
+    """One Volterra core per distinct kernel, order and lower limit.
+
+    Terms that differ only in their coefficient share the core; only the
+    multiplication by the coefficient is their own.
+    """
     built = []
     original_operator = ts.operators.volterra_operator
 
-    def counting_operator(*args):
+    def counting_operator(*args, **kwargs):
         built.append(args)
-        return original_operator(*args)
+        return original_operator(*args, **kwargs)
 
     seen = []
     original_assemble = ts.solver.assemble
 
-    def counting_assemble(spec, n=None):
+    def counting_assemble(spec, *args):
         before = len(built)
-        system = original_assemble(spec, n)
+        system = original_assemble(spec, *args)
         terms = [t for eq in spec.equations for t in eq.linear if t.kind is Kind.VOLTERRA]
-        distinct = {(t.order, t.coeff, t.kernel.coeffs.tobytes(), t.lower) for t in terms}
-        seen.append((len(built) - before, len(distinct), len(terms)))
+        cores = {(t.order, t.kernel.coeffs.shape, t.kernel.coeffs.tobytes(), t.lower)
+                 for t in terms}
+        blocks = {(t.order, t.coeff, t.kernel.coeffs.tobytes(), t.lower) for t in terms}
+        seen.append((len(built) - before, len(cores), len(blocks)))
         return system
 
     monkeypatch.setattr(ts.operators, "volterra_operator", counting_operator)
@@ -358,9 +366,81 @@ def test_each_distinct_volterra_block_is_built_once_per_assembly(monkeypatch):
     sol = ts.solve(ts.parse_problem(builtin("example2")))
     assert sol.converged
     assert len(seen) == len(sol.newton)
-    assert all(calls == distinct for calls, distinct, _ in seen)
-    # the two -1 * [[0, -1], [1, 0]] terms, and each square's two halves
-    assert all(distinct < total for _, distinct, total in seen)
+    assert all(calls == cores for calls, cores, _ in seen)
+    # the -1 and +1 multiples of the kernel times y2 share one core
+    assert all((cores, blocks) == (3, 4) for _, cores, blocks in seen)
+
+
+def test_linearize_builds_each_frozen_kernel_once(monkeypatch):
+    """example2's three products under the kernel [[1]] freeze y1 or y2 into it.
+
+    Six linearized terms per sweep carry one of two distinct kernels, each
+    built once and shared as one KernelPoly.
+    """
+    built = []
+    original = ts.problem._kernel_times_t_poly
+
+    def counting(kernel, phi, n):
+        built.append(original(kernel, phi, n))
+        return built[-1]
+
+    monkeypatch.setattr(ts.problem, "_kernel_times_t_poly", counting)
+    spec = ts.parse_problem(builtin("example2"))
+    sol = ts.solve(spec)
+    assert sol.converged
+    assert len(built) == 2 * len(sol.newton)
+    before = len(built)
+    lin = ts.linearize(sol.spec, sol.series)
+    frozen = [t.kernel for eq in lin.equations for t in eq.linear
+              if t.kernel is not None and t.kernel.coeffs.shape[0] == 1]
+    assert len(frozen) == 6
+    assert {id(k) for k in frozen} == {id(k) for k in built[before:]}
+    assert len(built) - before == 2
+
+
+# -- one walk of the member matrices per solve -------------------------------
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_member_matrices_are_walked_once_per_solve(monkeypatch, name):
+    """Every operator of every sweep reads the same P_j(J): one walk, n - 1 steps at most."""
+    spec = ts.parse_problem(builtin(name))
+    n = spec.settings.n
+    steps = []
+    original = ts.basis._j_minus_beta
+
+    def counting(basis, width):
+        step = original(basis, width)
+
+        def counted(v, j):
+            if v.shape == (n, n):
+                steps.append(j)
+            return step(v, j)
+
+        return counted
+
+    monkeypatch.setattr(ts.basis, "_j_minus_beta", counting)
+    sol = ts.solve(spec)
+    assert sol.converged and len(sol.newton) > 1
+    assert 0 < len(steps) <= n - 1
+    assert steps == list(range(len(steps)))
+
+
+@pytest.mark.parametrize("label", sorted(RUNS))
+def test_member_store_dies_with_the_solve(monkeypatch, label):
+    stores = []
+    original = ts.operators.MemberMatrices
+
+    def recording(basis, n):
+        store = original(basis, n)
+        stores.append(weakref.ref(store))
+        return store
+
+    monkeypatch.setattr(ts.operators, "MemberMatrices", recording)
+    sol = _solve_run(label)
+    # the solution is alive, the store it was solved with is not
+    assert sol.newton and len(stores) == 1
+    assert stores[0]() is None
 
 
 def _cube_doc(enclosed: bool) -> dict:
@@ -377,12 +457,39 @@ def _cube_doc(enclosed: bool) -> dict:
     }
 
 
+def _linear_kernels_doc() -> dict:
+    """A linear second-order equation with polynomial coefficients and both kernels."""
+    return {
+        "basis": {"family": "ChebyshevT", "domain": [0.0, 1.5]},
+        "variables": ["y"],
+        "equations": [{
+            "terms": [
+                {"var": "y", "deriv": 2},
+                {"var": "y", "deriv": 1, "coeff": {"basis": "power", "coeffs": [0.5, -1.0, 0.25]}},
+                {"var": "y", "coeff": {"basis": "power", "coeffs": [1.0, 0.3, -0.2]}},
+                {"var": "y", "volterra": {"kernel": [[0.2, -0.4, 0.1], [0.3, 0.2, 0.0], [-0.1, 0.0, 0.0]],
+                                          "lower": 0.0}},
+                {"var": "y", "fredholm": {"kernel": [[0.1, 0.2], [-0.3, 0.05]]}},
+            ],
+            "rhs": {"basis": "power", "coeffs": [1.0, 0.0, -2.0, 0.5]},
+        }],
+        "conditions": [
+            {"terms": [{"var": "y", "point": 0.0}], "value": 1.0},
+            {"terms": [{"var": "y", "point": 0.0, "deriv": 1}], "value": 0.0},
+        ],
+        "solve": {"n": 40},
+    }
+
+
+# Each run is solved in both families.
 SHARING_RUNS = {
     "example1": lambda: builtin("example1"),
     "example2": lambda: builtin("example2"),
+    "example2-n33": lambda: dict(builtin("example2"), solve={"n": 33}),
     "cube": lambda: _cube_doc(False),
     "cube-volterra": lambda: _cube_doc(True),
     "damped": lambda: dict(builtin("example1"), solve={"n": 17, "damping": True}),
+    "linear-kernels": _linear_kernels_doc,
 }
 
 
@@ -398,10 +505,11 @@ def _solution_bytes(sol) -> list:
 @pytest.mark.parametrize("family", [ts.CHEBYSHEV, ts.LEGENDRE])
 @pytest.mark.parametrize("label", sorted(SHARING_RUNS))
 def test_frozen_candidates_match_the_plain_sweep_byte_for_byte(monkeypatch, label, family):
-    """Sharing factors, pairs and term matrices changes no bit.
+    """Sharing factors, pairs, term matrices and member matrices changes no bit.
 
     The plain sweep recomputes every factor and product in the written
-    order and builds one matrix per term occurrence.
+    order, builds one matrix per term occurrence, and walks the member
+    matrices again for every operator.
     """
     doc = SHARING_RUNS[label]()
     doc["basis"]["family"] = family
@@ -417,7 +525,7 @@ def test_frozen_candidates_match_the_plain_sweep_byte_for_byte(monkeypatch, labe
                         references.apply_product_term_exact)
     monkeypatch.setattr(ts.solver, "assemble", references.assemble)
     plain = run()
-    assert len(shared.newton) > 1
+    assert (len(shared.newton) == 1) if shared.spec.is_linear else (len(shared.newton) > 1)
     assert _solution_bytes(shared) == _solution_bytes(plain)
 
 
@@ -462,6 +570,31 @@ def test_convergence_study_records_failures():
     assert all(r.failure is None for r in good)
     assert good[1].error < good[0].error
     assert all(r.iterations >= 1 for r in good)
+
+
+@pytest.mark.parametrize("grid_size", [0, 1, -5, True, 2.5, "11"])
+def test_convergence_study_rejects_a_bad_grid_size(monkeypatch, grid_size):
+    monkeypatch.setattr(ts.solver, "solve", None)  # nothing is solved
+    spec = ts.parse_problem(builtin("exp-ode"))
+    with pytest.raises(ts.ValidationError, match=f"grid_size: .*{grid_size!r}"):
+        ts.convergence_study(spec, [8], grid_size=grid_size)
+
+
+@pytest.mark.parametrize("ns, bad", [
+    ([True, 8.7], 0), ([8, 8.7], 1), ([8, "9"], 1), ([np.float64(4.5)], 0)])
+def test_convergence_study_rejects_sizes_that_are_not_integers(monkeypatch, ns, bad):
+    monkeypatch.setattr(ts.solver, "solve", None)  # nothing is solved
+    spec = ts.parse_problem(builtin("exp-ode"))
+    with pytest.raises(ts.ValidationError) as info:
+        ts.convergence_study(spec, ns)
+    assert str(info.value) == f"ns[{bad}]: must be an integer, got {ns[bad]!r}"
+
+
+def test_convergence_study_takes_integral_floats():
+    spec = ts.parse_problem(builtin("exp-ode"))
+    rows = ts.convergence_study(spec, [8.0, np.int64(4), 8], grid_size=11.0)
+    assert [r.n for r in rows] == [4, 8]
+    assert all(type(r.n) is int and r.failure is None for r in rows)
 
 
 def test_convergence_study_lets_programming_errors_through():
