@@ -44,8 +44,7 @@ __all__ = [
     "power_to_basis_matrix",
     "differentiation_matrix",
     "integration_matrix",
-    "calculus_powers",
-    "MemberMatrices",
+    "WorkingSize",
     "polynomial_multiplication_matrix",
     "volterra_operator",
     "fredholm_operator",
@@ -209,40 +208,20 @@ def integration_matrix(basis: BasisSpec, n: int) -> np.ndarray:
     return cached_block(basis, "integration", _check_size(n), _build_integration)
 
 
-def calculus_powers(basis: BasisSpec, n: int):
-    """Powers of d/dx and of the antiderivative on the working interval.
-
-    Returns ``power(order)``: d^order/dx^order for order >= 0 and the
-    antiderivative applied -order times below zero, each at working size
-    n as the one-step matrix times the power one order lower.  Powers are
-    kept for the life of the returned function.
-    """
-    n = _check_size(n)
-    powers = {0: np.eye(n)}
-
-    # a loop, not recursion: a closure that calls itself is a reference
-    # cycle, and would keep its n x n powers until the cyclic collector ran
-    def power(order: int) -> np.ndarray:
-        sign = 1 if order > 0 else -1
-        for k in range(sign, order + sign, sign):
-            if k not in powers:
-                step = (basis.c1 * differentiation_matrix(basis, n) if sign > 0
-                        else integration_matrix(basis, n) / basis.c1)
-                powers[k] = step @ powers[k - sign]
-        return powers[order]
-
-    return power
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-class MemberMatrices:
-    """Read-only members P_j(J) at working size n, J the multiplication matrix.
+class WorkingSize:
+    """The operators of one family at one working size n, each made once and kept.
 
-    ``members(count)`` returns P_0(J), ..., P_{count-1}(J).  They depend
-    only on the family and n, so the store walks the recurrence once,
-    resuming where the largest earlier request stopped, and keeps every
-    member it has made for its own life.  A solve makes one store and
-    hands it to every operator it builds; a lone operator call makes its
-    own.
+    ``members(count)`` returns P_0(J), ..., P_{count-1}(J), J the
+    multiplication matrix, resuming one walk of the recurrence.
+    ``power(order)`` returns d^order/dx^order on the working interval,
+    or the antiderivative applied -order times below zero, as the one-step
+    matrix times the power one order lower.  All are read-only.  A solve
+    makes one store for every operator it builds; a lone call makes its own.
     """
 
     def __init__(self, basis: BasisSpec, n: int):
@@ -250,37 +229,46 @@ class MemberMatrices:
         self.n = _check_size(n)
         self._walk = _basis_member_matrices(basis, self.n, self.n)
         self._members: list = []
+        self._powers = {0: _read_only(np.eye(self.n))}
 
-    def __call__(self, count: int) -> list:
+    def members(self, count: int) -> list:
         if count > self.n:
             raise ValueError(f"{count} members asked for at working size {self.n}")
         while len(self._members) < count:
-            pj = next(self._walk)
-            pj.flags.writeable = False
-            self._members.append(pj)
+            self._members.append(_read_only(next(self._walk)))
         return self._members[:count]
 
+    def power(self, order: int) -> np.ndarray:
+        basis, n, powers = self.basis, self.n, self._powers
+        sign = 1 if order > 0 else -1
+        for k in range(sign, order + sign, sign):
+            if k not in powers:
+                step = (basis.c1 * differentiation_matrix(basis, n) if sign > 0
+                        else integration_matrix(basis, n) / basis.c1)
+                powers[k] = _read_only(step @ powers[k - sign])
+        return powers[order]
 
-def _members_at(basis: BasisSpec, n: int, members: MemberMatrices | None) -> MemberMatrices:
+
+def _store_at(basis: BasisSpec, n: int, store: WorkingSize | None) -> WorkingSize:
     """The given store, checked against basis and n, or a new one."""
-    if members is None:
-        return MemberMatrices(basis, n)
-    if members.basis != basis or members.n != n:
+    if store is None:
+        return WorkingSize(basis, n)
+    if store.basis != basis or store.n != n:
         raise ValueError(
-            f"member store is for {members.basis} at n={members.n}, "
+            f"operator store is for {store.basis} at n={store.n}, "
             f"not {basis} at n={n}")
-    return members
+    return store
 
 
 def polynomial_multiplication_matrix(basis: BasisSpec, coeffs, n: int,
-                                     members: MemberMatrices | None = None) -> np.ndarray:
+                                     store: WorkingSize | None = None) -> np.ndarray:
     """Matrix of multiplication by a polynomial given in the shifted basis.
 
     ``coeffs`` are the coefficients of the multiplier on the working
     interval.  The matrix is the coefficient-weighted sum of basis
     members evaluated at the multiplication matrix, truncated to the
-    working size.  ``members`` is a MemberMatrices store of this basis
-    and n to read them from.
+    working size.  ``store`` is a WorkingSize of this basis and n to read
+    them from.
     """
     n = _check_size(n)
     p = np.atleast_1d(np.asarray(coeffs, dtype=float))
@@ -289,7 +277,7 @@ def polynomial_multiplication_matrix(basis: BasisSpec, coeffs, n: int,
     if p.size > n:
         raise ValueError(
             f"coefficient polynomial has {p.size} coefficients, working size is {n}")
-    return _member_sum(p, _members_at(basis, n, members)(p.size))
+    return _member_sum(p, _store_at(basis, n, store).members(p.size))
 
 
 def _clipped_kernel(kernel: KernelPoly, n: int) -> np.ndarray:
@@ -303,15 +291,15 @@ def _clipped_kernel(kernel: KernelPoly, n: int) -> np.ndarray:
 
 
 def volterra_operator(kernel: KernelPoly, lower: float, n: int,
-                      members: MemberMatrices | None = None) -> np.ndarray:
+                      store: WorkingSize | None = None) -> np.ndarray:
     """Operator of y -> integral from ``lower`` to x of K(x, t) y(t) dt.
 
     Assembled per kernel column: the t dependence acts through basis
     members evaluated at the multiplication matrix, the antiderivative
     supplies the integral, and a rank-one correction subtracts the value
     at the lower limit so the image vanishes there.  The x-side and
-    t-side members are read from ``members``, a MemberMatrices store of
-    this basis and n, or from a new one.
+    t-side members are read from ``store``, a WorkingSize of this basis
+    and n, or from a new one.
     """
     basis = kernel.basis
     n = _check_size(n)
@@ -319,7 +307,7 @@ def volterra_operator(kernel: KernelPoly, lower: float, n: int,
     nx, nt = k.shape
     os = integration_matrix(basis, n) / basis.c1
     row_lo = basis_row(basis, lower, n)
-    pm = _members_at(basis, n, members)(max(nx, nt))
+    pm = _store_at(basis, n, store).members(max(nx, nt))
     acc = np.zeros((n, n))
     for j, pj in enumerate(pm[:nt]):
         col = np.zeros(n)
@@ -332,12 +320,12 @@ def volterra_operator(kernel: KernelPoly, lower: float, n: int,
 
 
 def fredholm_operator(kernel: KernelPoly, n: int,
-                      members: MemberMatrices | None = None) -> np.ndarray:
+                      store: WorkingSize | None = None) -> np.ndarray:
     """Operator of y -> integral over the whole interval of K(x, t) y(t) dt.
 
     The result of the integral is a polynomial in x of the kernel's x
     degree, so rows beyond that degree are exactly zero.  The t-side
-    members are read from ``members`` as in ``volterra_operator``.
+    members are read from ``store`` as in ``volterra_operator``.
     """
     basis = kernel.basis
     n = _check_size(n)
@@ -347,7 +335,7 @@ def fredholm_operator(kernel: KernelPoly, n: int,
     os = integration_matrix(basis, n) / basis.c1
     r = (basis_row(basis, b_dom, n) - basis_row(basis, a_dom, n)) @ os
     acc = np.zeros((n, n))
-    for j, pj in enumerate(_members_at(basis, n, members)(nt)):
+    for j, pj in enumerate(_store_at(basis, n, store).members(nt)):
         v = r @ pj
         acc[:nx] += np.outer(k[:, j], v)
     return acc

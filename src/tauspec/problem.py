@@ -295,6 +295,14 @@ def _doc_float(node, key, where, default=None) -> float:
     return float(value)
 
 
+def _doc_bool(node, key, where) -> bool:
+    """A true/false entry of a document node, false when absent."""
+    value = node.get(key, False)
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"must be true or false, got {value!r}", f"{where}.{key}")
+    return bool(value)
+
+
 def _parse_poly(node, basis: BasisSpec, where: str) -> tuple:
     """A polynomial document node to shifted-basis coefficients."""
     if isinstance(node, (int, float)) and not isinstance(node, bool):
@@ -372,11 +380,14 @@ def _parse_term(node, basis: BasisSpec, where: str):
                     "'augment_initial' must give {point, value}", where)
             iw = f"{where}.augment_initial"
             init = (_doc_float(init, "point", iw), _doc_float(init, "value", iw))
+        name = node.get("augment_name")
+        if name is not None and not isinstance(name, str):
+            raise ValidationError(f"must be a string, got {name!r}", f"{where}.augment_name")
         return ProductTermSpec(
             factors=factors, weight=weight, enclosure=enclosure,
             kernel=kernel, lower=lower,
-            augment=bool(node.get("augment", False)),
-            augment_name=node.get("augment_name"),
+            augment=_doc_bool(node, "augment", where),
+            augment_name=name,
             augment_initial=init)
     if "var" not in node:
         raise ValidationError("linear term needs a 'var' key", where)
@@ -443,7 +454,7 @@ def _parse_settings(node, where: str, overrides: Mapping) -> SolveSettings:
         raise ValidationError("bad 'initial' entry", where)
     return SolveSettings(
         n=n, newton_tol=tol, max_iter=max_iter, initial=initial,
-        damping=bool(node.get("damping", False)))
+        damping=_doc_bool(node, "damping", where))
 
 
 def parse_problem(doc: Mapping, *, n: int | None = None, family: str | None = None,
@@ -790,10 +801,10 @@ def initial_iterate(spec: ProblemSpec, policy=None) -> dict:
             continue
         rows = np.zeros((q, q))
         vals = np.zeros(q)
-        power = ops.calculus_powers(basis, q)
+        store = ops.WorkingSize(basis, q)
         for r, cond in enumerate(conds):
             for t in cond.terms:
-                rows[r] += t.weight * (basis_row(basis, t.point, q) @ power(t.order))
+                rows[r] += t.weight * (basis_row(basis, t.point, q) @ store.power(t.order))
             vals[r] = cond.value
         try:
             coeffs = np.linalg.solve(rows, vals)

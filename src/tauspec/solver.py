@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import time
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -124,67 +123,38 @@ def _attribution(spec: ProblemSpec) -> list[int]:
     return out
 
 
-def _kernel_core(term, n: int, power, members) -> np.ndarray:
-    """The integral operator of a kernel term, the unknown's order folded in."""
+def _term_core(term, n: int, store: ops.WorkingSize) -> np.ndarray:
+    """A term's operator before its coefficient: a calculus power or a kernel's integral."""
+    if term.kind in (Kind.DERIVATIVE, Kind.INTEGRAL):
+        return store.power(term.inner_order)
     if term.kind is Kind.VOLTERRA:
-        core = ops.volterra_operator(term.kernel, term.lower, n, members)
+        core = ops.volterra_operator(term.kernel, term.lower, n, store)
     else:
-        core = ops.fredholm_operator(term.kernel, n, members)
+        core = ops.fredholm_operator(term.kernel, n, store)
     if term.order:
-        core = core @ power(term.order)
+        core = core @ store.power(term.order)
     return core
 
 
-def _term_matrix(term, basis, n: int, power, members, kernel_core, where: str) -> np.ndarray:
-    try:
-        outer = ops.polynomial_multiplication_matrix(basis, term.coeff, n, members)
-    except ValueError as exc:
-        raise ValidationError(
-            f"{exc}; increase n to fit the coefficient polynomial", where) from None
-    if term.kind in (Kind.DERIVATIVE, Kind.INTEGRAL):
-        core = power(term.inner_order)
-    else:
-        core = kernel_core(term)
-    if len(term.coeff) == 1 and term.coeff[0] == 1.0:
-        return core
-    return outer @ core
-
-
 def _term_key(term) -> tuple:
-    """The exact inputs of a term's matrix, all but its variable, as bytes."""
+    """The exact inputs of a term's matrix but its variable, as bytes; the coefficient last."""
     kernel = term.kernel
-    return (term.kind, term.order, np.array(term.coeff).tobytes(),
+    return (term.kind, term.order,
             None if kernel is None else (kernel.coeffs.shape, kernel.coeffs.tobytes()),
-            None if term.lower is None else np.float64(term.lower).tobytes())
-
-
-def _core_key(key: tuple) -> tuple:
-    """The part of a term key that fixes its kernel core: all but the coefficient."""
-    return key[:2] + key[3:]
-
-
-def _shared(memo: dict, left: Counter, key, build):
-    """memo[key], or build(); kept in memo only while ``left`` counts a later use."""
-    mat = memo.pop(key, None)
-    if mat is None:
-        mat = build()
-    left[key] -= 1
-    if left[key]:
-        memo[key] = mat
-    return mat
+            None if term.lower is None else np.float64(term.lower).tobytes(),
+            np.array(term.coeff).tobytes())
 
 
 def assemble(spec: ProblemSpec, n: int | None = None,
-             members: ops.MemberMatrices | None = None) -> TauSystem:
+             store: ops.WorkingSize | None = None) -> TauSystem:
     """Build the square system for a linearized (or linear) spec.
 
     Rows are stacked as all condition rows first, in document order,
     then for each equation its first n - (conditions charged to it)
     coefficient rows.  Terms that differ only in their variable share one
-    matrix, built once per call and added once per occurrence; kernel
-    terms that differ only in their coefficient share one kernel core.
-    ``members`` is the MemberMatrices store of the basis at n that every
-    operator reads; without it the call makes its own.
+    matrix, built once per call and added once per occurrence; terms that
+    differ only in their coefficient share one core.  Every operator is
+    read from ``store``, the WorkingSize of the basis at n, or a new one.
     """
     if not spec.is_linear:
         raise ValidationError(
@@ -200,30 +170,17 @@ def assemble(spec: ProblemSpec, n: int | None = None,
         if nu > n:
             raise ValidationError(
                 f"equation {e} is charged {nu} conditions but only has {n} rows")
-    power = ops.calculus_powers(basis, n)
-    if members is None:
-        members = ops.MemberMatrices(basis, n)
+    store = ops._store_at(basis, n, store)
     size = m * n
     a = np.zeros((size, size))
     b = np.zeros(size)
     row_map: list = []
-    # a matrix is kept only while a later term shares its key, and a
-    # kernel core only while a later distinct term needs it, so peak
-    # memory stays that of building one matrix per term
-    keys = [[_term_key(term) for term in eq.linear] for eq in spec.equations]
-    left = Counter(key for row in keys for key in row)
-    cores_left = Counter(_core_key(key) for key in left if key[3] is not None)
     matrices: dict = {}
     cores: dict = {}
-
-    def kernel_core(term):
-        return _shared(cores, cores_left, _core_key(_term_key(term)),
-                       lambda: _kernel_core(term, n, power, members))
-
     r = 0
     for ci, cond in enumerate(spec.conditions):
         for t in cond.terms:
-            row = basis_row(basis, t.point, n) @ power(t.order)
+            row = basis_row(basis, t.point, n) @ store.power(t.order)
             a[r, col_of[t.var]] += t.weight * row
         b[r] = cond.value
         row_map.append(("condition", ci))
@@ -231,9 +188,22 @@ def assemble(spec: ProblemSpec, n: int | None = None,
     for e, eq in enumerate(spec.equations):
         keep = n - nu_e[e]
         blocks: dict = {}
-        for ti, (term, key) in enumerate(zip(eq.linear, keys[e])):
-            mat = _shared(matrices, left, key, lambda: _term_matrix(
-                term, basis, n, power, members, kernel_core, f"equations[{e}].terms[{ti}]"))
+        for ti, term in enumerate(eq.linear):
+            key = _term_key(term)
+            if key not in matrices:
+                if key[:-1] not in cores:
+                    cores[key[:-1]] = _term_core(term, n, store)
+                matrices[key] = cores[key[:-1]]
+                if tuple(term.coeff) != (1.0,):
+                    try:
+                        outer = ops.polynomial_multiplication_matrix(
+                            basis, term.coeff, n, store)
+                    except ValueError as exc:
+                        raise ValidationError(
+                            f"{exc}; increase n to fit the coefficient polynomial",
+                            f"equations[{e}].terms[{ti}]") from None
+                    matrices[key] = outer @ matrices[key]
+            mat = matrices[key]
             if term.var in blocks:
                 blocks[term.var] = blocks[term.var] + mat
             else:
@@ -383,14 +353,14 @@ def _update_norm(new: Mapping, old: Mapping) -> float:
     return worst
 
 
-def _candidate(spec: ProblemSpec, lin: ProblemSpec, members: ops.MemberMatrices):
+def _candidate(spec: ProblemSpec, lin: ProblemSpec, store: ops.WorkingSize):
     """Assemble and solve the linear(ized) ``lin``; judge the result against ``spec``.
 
     Returns the candidate as a FrozenIterate, its exact equation defects,
     their largest coefficient, and the diagnostics of the linear solve.
     """
     n = spec.settings.n
-    vec, diagnostics = solve_linear(assemble(lin, n, members))
+    vec, diagnostics = solve_linear(assemble(lin, n, store))
     candidate = FrozenIterate(
         (v, Series(spec.basis, vec[i * n : (i + 1) * n]))
         for i, v in enumerate(spec.variables))
@@ -405,19 +375,20 @@ def solve(spec: ProblemSpec) -> TauSolution:
     problems iterate from the configured starting iterate until the
     largest coefficient update falls under newton_tol relative to the
     iterate size, or max_iter is reached; running out of sweeps returns
-    the best iterate with ``converged`` False rather than raising.
+    the best iterate with ``converged`` False rather than raising, and so
+    does a singular sweep right after the defect grew (divergence).
     The exact defects of every candidate are evaluated once and serve the
     Newton log, the damping test and the residual report; the factors and
     pair products they freeze serve the next sweep's linearization.  One
-    MemberMatrices store at the working size serves every assembly of the
-    solve and dies with it.  The solution and the log hold plain dicts.
+    WorkingSize store serves every assembly of the solve and dies with
+    it.  The solution and the log hold plain dicts.
     """
     spec = augment_variables(spec)
     check_working_size(spec)
     n = spec.settings.n
-    members = ops.MemberMatrices(spec.basis, n)
+    store = ops.WorkingSize(spec.basis, n)
     if spec.is_linear:
-        iterate, defects, res, diagnostics = _candidate(spec, spec, members)
+        iterate, defects, res, diagnostics = _candidate(spec, spec, store)
         newton = [NewtonState(1, dict(iterate), 0.0, res)]
         converged = True
     else:
@@ -426,9 +397,17 @@ def solve(spec: ProblemSpec) -> TauSolution:
         newton = []
         converged = False
         prev_res = np.inf
+        grew = False
         for k in range(1, spec.settings.max_iter + 1):
-            candidate, defects, res, diagnostics = _candidate(
-                spec, linearize(spec, iterate), members)
+            try:
+                candidate, defects, res, diagnostics = _candidate(
+                    spec, linearize(spec, iterate), store)
+            except SingularSystemError as exc:
+                if not grew:
+                    raise
+                warnings.warn(f"Newton diverged: the defect grew to {prev_res:.3e}, then "
+                              f"sweep {k} was singular ({exc})", ConvergenceWarning, stacklevel=2)
+                break
             if spec.settings.damping and res > prev_res:
                 for _ in range(6):
                     mixed = FrozenIterate(
@@ -443,11 +422,12 @@ def solve(spec: ProblemSpec) -> TauSolution:
             update = _update_norm(candidate, iterate)
             newton.append(NewtonState(k, dict(candidate), update, res))
             iterate = candidate
+            grew = res > prev_res
             prev_res = res
             if update <= tol * max(1.0, _max_abs(iterate.values())):
                 converged = True
                 break
-        if not converged:
+        else:
             warnings.warn(
                 f"Newton did not meet tol={tol:g} within "
                 f"{spec.settings.max_iter} sweeps (last update {update:.3e})",

@@ -221,7 +221,23 @@ def apply_product_term_exact(term, iterate):
     return ts.Series(acc.basis, term.weight * acc.coeffs)
 
 
-def _term_matrix(term, basis, n, power, where):
+def calculus_powers(basis, n):
+    """``power(order)``: d^order/dx^order, or the antiderivative -order times, at size n."""
+    powers = {0: np.eye(n)}
+
+    def power(order):
+        sign = 1 if order > 0 else -1
+        for k in range(sign, order + sign, sign):
+            if k not in powers:
+                step = (basis.c1 * ts.differentiation_matrix(basis, n) if sign > 0
+                        else ts.integration_matrix(basis, n) / basis.c1)
+                powers[k] = step @ powers[k - sign]
+        return powers[order]
+
+    return power
+
+
+def _one_term_matrix(term, basis, n, power, where):
     """One term's matrix, every operator walking its own member matrices."""
     try:
         outer = ts.polynomial_multiplication_matrix(basis, term.coeff, n)
@@ -242,11 +258,12 @@ def _term_matrix(term, basis, n, power, where):
     return outer @ core
 
 
-def assemble(spec, n=None, members=None):
+def assemble(spec, n=None, store=None):
     """Assembly that builds one matrix per term occurrence.
 
-    ``members`` is accepted and ignored: every operator walks its own
-    member matrices, as each call did before a solve shared one store.
+    ``store`` is accepted and ignored: every call makes its own powers by
+    the plain loop, and every operator walks its own member matrices, as
+    each call did before a solve shared one store.
     """
     solver = ts.solver
     if n is None:
@@ -256,7 +273,7 @@ def assemble(spec, n=None, members=None):
     col_of = {v: slice(i * n, (i + 1) * n) for i, v in enumerate(spec.variables)}
     charged = solver._attribution(spec)
     nu_e = [charged.count(e) for e in range(m)]
-    power = ts.calculus_powers(basis, n)
+    power = calculus_powers(basis, n)
     size = m * n
     a = np.zeros((size, size))
     b = np.zeros(size)
@@ -273,7 +290,7 @@ def assemble(spec, n=None, members=None):
         keep = n - nu_e[e]
         blocks = {}
         for ti, term in enumerate(eq.linear):
-            mat = _term_matrix(term, basis, n, power, f"equations[{e}].terms[{ti}]")
+            mat = _one_term_matrix(term, basis, n, power, f"equations[{e}].terms[{ti}]")
             if term.var in blocks:
                 blocks[term.var] = blocks[term.var] + mat
             else:

@@ -229,6 +229,24 @@ def test_non_numeric_condition_point_exits_one_with_its_location(tmp_path, capsy
     assert "conditions[0].terms[0].point: must be a number, got 'x'" in err
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (lambda doc: doc["solve"].update(damping="false"),
+     "solve.damping: must be true or false, got 'false'"),
+    (lambda doc: doc["equations"][0]["terms"][2].update(augment="no"),
+     "equations[0].terms[2].augment: must be true or false, got 'no'"),
+    (lambda doc: doc["equations"][0]["terms"][2].update(augment_name=7),
+     "equations[0].terms[2].augment_name: must be a string, got 7"),
+], ids=["damping", "augment", "augment_name"])
+def test_non_boolean_flags_exit_one_with_their_location(tmp_path, capsys, mutate, message):
+    doc = json.loads((resources.files("tauspec") / "problems" / "example1.json").read_text())
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == 1
+    assert message in err
+
+
 def test_non_finite_linear_solve_exits_three(monkeypatch, capsys):
     """An overflowing solve is a singular system, not bad input."""
     def overflowing(lu_and_piv, b, **kwargs):
@@ -271,6 +289,46 @@ def test_singular_system_exits_three(tmp_path, capsys):
             {"terms": [{"var": "y", "point": 0.0}], "value": 1.0},
         ],
         "solve": {"n": 5},
+    }
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == 3
+    assert "singular" in err
+
+
+def _riccati_doc() -> dict:
+    """y' = y^2, y(0) = 1 on [0, 2]: the solution 1 / (1 - x) blows up at x = 1."""
+    return {
+        "basis": {"family": "ChebyshevT", "domain": [0.0, 2.0]},
+        "variables": ["y"],
+        "equations": [{"terms": [
+            {"var": "y", "deriv": 1},
+            {"product": {"factors": [{"var": "y"}, {"var": "y"}], "weight": -1.0}}],
+            "rhs": 0.0}],
+        "conditions": [{"terms": [{"var": "y", "point": 0.0}], "value": 1.0}],
+        "solve": {"n": 40},
+    }
+
+
+def test_blow_up_exits_two_as_a_divergence(tmp_path, capsys):
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(_riccati_doc()))
+    with pytest.warns(ts.ConvergenceWarning, match="Newton diverged"):
+        code, out, _ = run(capsys, "solve", str(path))
+    assert code == 2
+    assert "converged: no" in out
+
+
+def test_singular_first_newton_sweep_exits_three(tmp_path, capsys):
+    """y y' = 1, y(0) = 0: the linearization around the start y = 0 is singular."""
+    doc = {
+        "basis": {"family": "ChebyshevT", "domain": [0.0, 1.0]},
+        "variables": ["y"],
+        "equations": [{"terms": [
+            {"product": {"factors": [{"var": "y"}, {"var": "y", "deriv": 1}]}}], "rhs": 1.0}],
+        "conditions": [{"terms": [{"var": "y", "point": 0.0}], "value": 0.0}],
+        "solve": {"n": 12},
     }
     path = tmp_path / "singular.json"
     path.write_text(json.dumps(doc))

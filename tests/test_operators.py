@@ -286,27 +286,39 @@ def test_a_shared_member_store_changes_no_bit(family):
         *(lambda m, k=k: ts.volterra_operator(k, 0.25, n, m) for k in kernels[:3]),
         *(lambda m, k=k: ts.fredholm_operator(k, n, m) for k in kernels[3:]),
     ]
-    store = ts.MemberMatrices(basis, n)
+    store = ts.WorkingSize(basis, n)
     for build in builds:
         assert build(store).tobytes() == build(None).tobytes()
-    members = store(n)
+    members = store.members(n)
     assert [m.tobytes() for m in members] == [
         m.tobytes() for m in references.basis_member_matrices(basis, n, n)]
-    assert all(a is b for a, b in zip(store(5), members))
+    assert all(a is b for a, b in zip(store.members(5), members))
     with pytest.raises(ValueError):
         members[3][0, 0] = 1.0
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_store_powers_match_the_plain_loop(family):
+    basis = ts.BasisSpec(family, (-0.5, 1.5))
+    n = 12
+    store = ts.WorkingSize(basis, n)
+    plain = references.calculus_powers(basis, n)
+    for order in (2, -3, 3, 0, -1, 1, -2):
+        got = store.power(order)
+        assert got.tobytes() == plain(order).tobytes()
+        assert store.power(order) is got and not got.flags.writeable
+
+
 def test_member_store_is_checked_against_basis_and_size():
     basis = ts.BasisSpec(ts.CHEBYSHEV, (0.0, 1.0))
-    store = ts.MemberMatrices(basis, 8)
+    store = ts.WorkingSize(basis, 8)
     with pytest.raises(ValueError, match="9 members asked for at working size 8"):
-        store(9)
-    with pytest.raises(ValueError, match="member store is for"):
+        store.members(9)
+    with pytest.raises(ValueError, match="operator store is for"):
         ts.polynomial_multiplication_matrix(basis, [1.0, 2.0], 9, store)
     other = ts.BasisSpec(ts.LEGENDRE, (0.0, 1.0))
     kernel = ts.KernelPoly(other, [[1.0, 0.5]])
-    with pytest.raises(ValueError, match="member store is for"):
+    with pytest.raises(ValueError, match="operator store is for"):
         ts.fredholm_operator(kernel, 8, store)
 
 

@@ -169,6 +169,37 @@ def test_augment_initial_rejects_non_numbers_with_its_location(key):
         ts.parse_problem(_augmented_doc(**{key: "x"}))
 
 
+@pytest.mark.parametrize("mutate, location, problem", [
+    (_set(["solve", "damping"], "false"), r"solve\.damping", "must be true or false, got 'false'"),
+    (_set(["solve", "damping"], 0), r"solve\.damping", "must be true or false, got 0"),
+    (_set(["solve", "damping"], None), r"solve\.damping", "must be true or false"),
+    (_set(["equations", 0, "terms", 1, "augment"], "no"), r"terms\[1\]\.augment",
+     "must be true or false, got 'no'"),
+    (_set(["equations", 0, "terms", 1, "augment"], 1), r"terms\[1\]\.augment",
+     "must be true or false"),
+    (_set(["equations", 0, "terms", 1, "augment_name"], 7), r"terms\[1\]\.augment_name",
+     "must be a string, got 7"),
+], ids=["damping-string", "damping-int", "damping-null", "augment-string", "augment-int",
+        "augment_name-int"])
+def test_flags_take_only_json_booleans_and_names_only_strings(mutate, location, problem):
+    doc = _augmented_doc()
+    mutate(doc)
+    with pytest.raises(ts.ValidationError, match=location + ": " + problem):
+        ts.parse_problem(doc)
+
+
+def test_flags_take_json_booleans():
+    for flag in (True, False):
+        doc = _augmented_doc()
+        doc["solve"]["damping"] = flag
+        doc["equations"][0]["terms"][1]["augment"] = flag
+        doc["equations"][0]["terms"][1]["augment_name"] = "w"
+        spec = ts.parse_problem(doc)
+        term = spec.equations[0].products[0]
+        assert (spec.settings.damping, term.augment, term.augment_name) == (flag, flag, "w")
+    assert ts.parse_problem(_augmented_doc()).settings.damping is False
+
+
 def test_float_fields_take_ints_and_numpy_floats():
     doc = _doc(solve={"n": 8, "newton_tol": np.float64(1e-12)})
     doc["conditions"][0] = {"terms": [{"var": "y", "point": 0, "weight": 2}], "value": 1}

@@ -1,11 +1,13 @@
-"""Property-based checks of the product and of manufactured linear solves.
+"""Property-based checks of the product, the calculus powers and manufactured solves.
 
 The Newton sweep shares one product per unordered pair of frozen factors
 between the exact defect and the linearization, which is only
 byte-identical to multiplying in the written order if product(p, q) and
-product(q, p) agree bitwise.  A linear problem whose exact solution is a
+product(q, p) agree bitwise.  Differentiation undoes integration on every
+column the antiderivative keeps.  A problem whose exact solution is a
 polynomial below the working size is solved exactly by the tau method,
-up to rounding, whatever its polynomial coefficients and kernels.
+up to rounding, whatever its polynomial coefficients and kernels; when
+it is nonlinear, Newton gets there from a nearby start.
 """
 
 import numpy as np
@@ -53,6 +55,20 @@ def test_product_is_bitwise_symmetric_and_exact(family, a, b):
     exact = np.zeros(size)
     exact[: want.size] = want
     assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(family=st.sampled_from(FAMILIES), a=st.floats(-4.0, 4.0),
+                  width=st.floats(0.1, 8.0), n=st.integers(1, 150))
+def test_differentiation_undoes_integration_on_the_leading_block(family, a, width, n):
+    """d/dx of the antiderivative is the identity on the first n - 1 columns.
+
+    The last column is the primitive of the last member, which loses its
+    top coefficient to the working size.
+    """
+    store = ts.WorkingSize(ts.BasisSpec(family, (a, a + width)), n)
+    got = (store.power(1) @ store.power(-1))[:, : n - 1]
+    assert np.max(np.abs(got - np.eye(n)[:, : n - 1]), initial=0.0) <= 1e-14
 
 
 def test_product_oracles_agree_exactly():
@@ -142,6 +158,65 @@ def manufactured(draw):
 def test_manufactured_linear_problems_are_solved_exactly(case):
     doc, u = case
     sol = ts.solve(ts.parse_problem(doc))
+    grid = np.linspace(0.0, doc["basis"]["domain"][1], 101)
+    exact = P.polyval(grid, u)
+    got = ts.evaluate(sol["y"], grid)
+    assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+# -- manufactured nonlinear problems ------------------------------------------
+
+
+@st.composite
+def manufactured_nonlinear(draw):
+    """y' + w y^2 + v * Volterra(y^2) = f on [0, L], y(0) given, and a nearby start.
+
+    As for the linear problems, the exact solution u and the kernel are
+    drawn in powers of x and f follows from u.  Newton starts from the
+    basis coefficients of u, each moved by a relative 1e-3.
+    """
+    length = draw(st.floats(0.5, 1.0))
+    degree = draw(st.integers(0, 6))
+    u = np.array(draw(st.lists(UNIT, min_size=degree + 1, max_size=degree + 1)))
+    u[0] = 1.0 + abs(u[0])
+    u = u / length ** np.arange(degree + 1)
+    w, v = draw(UNIT), draw(UNIT)
+    kv = _power_kernel(draw)
+    square = P.polymul(u, u)
+    rhs = P.polyder(u) if degree else np.zeros(1)
+    rhs = P.polyadd(rhs, w * square)
+    rhs = P.polyadd(rhs, v * _kernel_image(kv, square, None))
+    family = draw(st.sampled_from(FAMILIES))
+    start = ts.from_power_series(ts.BasisSpec(family, (0.0, length)), u)
+    moves = draw(st.lists(UNIT, min_size=start.size, max_size=start.size))
+    start = start * (1.0 + 1e-3 * np.array(moves))
+    square_of_y = {"factors": [{"var": "y"}, {"var": "y"}]}
+    doc = {
+        "basis": {"family": family, "domain": [0.0, length]},
+        "variables": ["y"],
+        "equations": [{
+            "terms": [
+                {"var": "y", "deriv": 1},
+                {"product": dict(square_of_y, weight=w)},
+                {"product": dict(square_of_y, weight=v),
+                 "volterra": {"kernel": kv.tolist(), "lower": 0.0}},
+            ],
+            "rhs": {"basis": "power", "coeffs": rhs.tolist()},
+        }],
+        "conditions": [{"terms": [{"var": "y", "point": 0.0}], "value": float(u[0])}],
+        "solve": {"n": 2 * degree + draw(st.integers(8, 16)), "initial": [start.tolist()]},
+    }
+    return doc, u
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(case=manufactured_nonlinear())
+def test_manufactured_nonlinear_problems_converge_from_a_nearby_start(case):
+    doc, u = case
+    sol = ts.solve(ts.parse_problem(doc))
+    updates = [state.update_norm for state in sol.newton]
+    assert sol.converged
+    assert all(later < earlier for earlier, later in zip(updates, updates[1:]))
     grid = np.linspace(0.0, doc["basis"]["domain"][1], 101)
     exact = P.polyval(grid, u)
     got = ts.evaluate(sol["y"], grid)

@@ -429,18 +429,100 @@ def test_member_matrices_are_walked_once_per_solve(monkeypatch, name):
 @pytest.mark.parametrize("label", sorted(RUNS))
 def test_member_store_dies_with_the_solve(monkeypatch, label):
     stores = []
-    original = ts.operators.MemberMatrices
+    original = ts.operators.WorkingSize
 
     def recording(basis, n):
         store = original(basis, n)
-        stores.append(weakref.ref(store))
+        stores.append((n, weakref.ref(store)))
         return store
 
-    monkeypatch.setattr(ts.operators, "MemberMatrices", recording)
+    monkeypatch.setattr(ts.operators, "WorkingSize", recording)
     sol = _solve_run(label)
-    # the solution is alive, the store it was solved with is not
-    assert sol.newton and len(stores) == 1
-    assert stores[0]() is None
+    # one store at the working size serves the solve; the starting iterate
+    # may make its own at the number of conditions
+    assert sol.newton and [size for size, _ in stores].count(sol.n) == 1
+    # the solution is alive, the stores it was solved with are not
+    assert all(ref() is None for _, ref in stores)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_each_calculus_power_is_made_once_per_solve(monkeypatch, name):
+    """Every assembly of the solve reads its powers from the one store at n."""
+    made = []
+    original = ts.operators.WorkingSize.power
+
+    def power(self, order):
+        before = len(self._powers)
+        out = original(self, order)
+        made.extend([(self.n, order)] * (len(self._powers) - before))
+        return out
+
+    monkeypatch.setattr(ts.operators.WorkingSize, "power", power)
+    sol = ts.solve(ts.parse_problem(builtin(name)))
+    assert len(sol.newton) > 1
+    at_n = [order for n, order in made if n == sol.n]
+    assert at_n and len(at_n) == len(set(at_n))
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_unit_coefficients_build_no_multiplication_matrix(monkeypatch, name):
+    coeffs = []
+    original = ts.operators.polynomial_multiplication_matrix
+
+    def recording(basis, c, n, *rest):
+        coeffs.append(tuple(c))
+        return original(basis, c, n, *rest)
+
+    monkeypatch.setattr(ts.operators, "polynomial_multiplication_matrix", recording)
+    sol = ts.solve(ts.parse_problem(builtin(name)))
+    assert sol.converged
+    assert (1.0,) not in coeffs
+
+
+def _riccati_spec():
+    """y' = y^2, y(0) = 1 on [0, 2]: the solution 1 / (1 - x) blows up at x = 1."""
+    return ts.parse_problem({
+        "basis": {"family": "ChebyshevT", "domain": [0.0, 2.0]},
+        "variables": ["y"],
+        "equations": [{"terms": [
+            {"var": "y", "deriv": 1},
+            {"product": {"factors": [{"var": "y"}, {"var": "y"}], "weight": -1.0}}],
+            "rhs": 0.0}],
+        "conditions": [{"terms": [{"var": "y", "point": 0.0}], "value": 1.0}],
+        "solve": {"n": 40},
+    })
+
+
+def test_a_singular_sweep_after_the_defect_grew_is_a_divergence():
+    spec = _riccati_spec()
+    with pytest.warns(ts.ConvergenceWarning, match=r"Newton diverged.*singular"):
+        sol = ts.solve(spec)
+    assert not sol.converged
+    defects = [state.residual_norm for state in sol.newton]
+    assert len(defects) >= 2 and defects[-1] > defects[-2]
+    # the solution is the last candidate, with its own residual report
+    assert sol.series["y"] is sol.newton[-1].iterate["y"]
+    assert max(sol.residual.equation_max) > 1.0
+
+
+@pytest.mark.parametrize("sweep, spec", [
+    (1, _riccati_spec), (2, lambda: ts.parse_problem(builtin("example2"))),
+    (3, lambda: ts.parse_problem(builtin("example2")))],
+    ids=["riccati-sweep1", "example2-sweep2", "example2-sweep3"])
+def test_a_singular_sweep_without_a_growing_defect_still_raises(monkeypatch, sweep, spec):
+    """Sweep 1 has no defect before it, and example2's defect shrinks every sweep."""
+    calls = []
+    original = ts.solver.solve_linear
+
+    def singular_at_sweep(system):
+        calls.append(1)
+        if len(calls) == sweep:
+            raise ts.SingularSystemError("stub")
+        return original(system)
+
+    monkeypatch.setattr(ts.solver, "solve_linear", singular_at_sweep)
+    with pytest.raises(ts.SingularSystemError, match="stub"):
+        ts.solve(spec())
 
 
 def _cube_doc(enclosed: bool) -> dict:
