@@ -63,18 +63,16 @@ def load_document(problem: str):
     """Resolve a problem argument to (label, document, exact or None)."""
     if problem in BUILTINS:
         path = resources.files("tauspec") / "problems" / f"{problem}.json"
-        doc = json.loads(path.read_text())
-        return problem, doc, BUILTINS[problem].get("exact")
+        return problem, json.loads(path.read_text()), BUILTINS[problem].get("exact")
     path = Path(problem)
     if not path.exists():
         raise ValidationError(
             f"unknown problem {problem!r}; built-ins: "
             + ", ".join(sorted(BUILTINS)))
     try:
-        doc = json.loads(path.read_text())
+        return path.stem, json.loads(path.read_text()), None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from None
-    return path.stem, doc, None
 
 
 def _parse_overridden(args) -> tuple:
@@ -275,8 +273,7 @@ def cmd_plotdata(args) -> int:
 def cmd_list_examples(args) -> int:
     rows = []
     for name in sorted(BUILTINS):
-        doc = json.loads(
-            (resources.files("tauspec") / "problems" / f"{name}.json").read_text())
+        doc = load_document(name)[1]
         rows.append({
             "name": name,
             "variables": ", ".join(doc["variables"]),
@@ -349,10 +346,7 @@ def main(argv=None) -> int:
     except SingularSystemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, ConfigurationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValidationError, ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 import enum
 import logging
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -260,172 +260,201 @@ def _validate_spec(spec: ProblemSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# document parsing
+# document parsing: one reader per JSON type, each naming the entry it rejects
+
+_NUMBERS = (int, float, np.integer, np.floating)
+_KERNEL_KINDS = ("volterra", "fredholm")
+
+
+def _at(where, key=None):
+    """Location of entry ``key`` (a name or an index) of a node; built only to raise."""
+    if key is None:
+        return where
+    return f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}"
 
 
 def _doc_get(doc, key, where, required=True, default=None):
-    if key in doc:
-        return doc[key]
-    if required:
+    if required and key not in doc:
         raise ValidationError(f"missing required key {key!r}", where)
-    return default
+    return doc.get(key, default)
 
 
-def _as_int(value, where) -> int:
+def _object(node, where, keys) -> Mapping:
+    """A document object whose keys all come from ``keys``."""
+    if not isinstance(node, Mapping):
+        raise ValidationError(f"must be an object, got {node!r}", where)
+    for key in node:
+        if key not in keys:
+            raise ValidationError(f"unknown key {key!r}; expected one of {', '.join(keys)}", where)
+    return node
+
+
+def _list(node, where, nonempty=True):
+    """A list, tuple or array, never a string; nonempty unless told otherwise."""
+    is_list = isinstance(node, (list, tuple)) or isinstance(node, np.ndarray) and node.ndim > 0
+    if not is_list or nonempty and len(node) == 0:
+        raise ValidationError(f"must be a {'nonempty ' * nonempty}list, got {node!r}", where)
+    return node
+
+
+def _one_of(node, where, keys):
+    """The one key of ``keys`` that the node has, or None; two or more conflict."""
+    found = [key for key in keys if key in node]
+    if len(found) > 1:
+        raise ValidationError(f"give at most one of {' and '.join(map(repr, found))}", where)
+    return found[0] if found else None
+
+
+def _text(value, where, key=None) -> str:
+    """A string, such as a name."""
+    if not isinstance(value, str):
+        raise ValidationError(f"must be a string, got {value!r}", _at(where, key))
+    return value
+
+
+def _doc_text(node, key, where, required=True):
+    """A string entry of a document node; unless required, absent or null is None."""
+    value = _doc_get(node, key, where, required)
+    return None if value is None and not required else _text(value, where, key)
+
+
+def _as_int(value, where, key=None) -> int:
     """An integer input: an int, or a float such as 2.0, but not a bool."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"must be an integer, got {value!r}", where)
+        raise ValidationError(f"must be an integer, got {value!r}", _at(where, key))
     return int(value)
 
 
 def _doc_int(node, key, where, default=0) -> int:
-    """An integer entry of a document node: an int, or a float such as 2.0."""
-    return _as_int(node.get(key, default), f"{where}.{key}")
+    """An integer entry of a document node; required if the default is None."""
+    return _as_int(_doc_get(node, key, where, default is None, default), where, key)
+
+
+def _real(value, where, key=None) -> float:
+    """A finite int or float, never a bool or string."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBERS):
+        raise ValidationError(f"must be a number, got {value!r}", _at(where, key))
+    if not abs(value) <= FLOAT_MAX:
+        raise ValidationError(f"must be finite, got {value!r}", _at(where, key))
+    return float(value)
 
 
 def _doc_float(node, key, where, default=None) -> float:
     """A finite real entry of a document node; required unless a default is given."""
-    value = _doc_get(node, key, where, required=default is None, default=default)
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValidationError(f"must be a number, got {value!r}", f"{where}.{key}")
-    if not abs(value) <= FLOAT_MAX:
-        raise ValidationError(f"must be finite, got {value!r}", f"{where}.{key}")
-    return float(value)
+    return _real(_doc_get(node, key, where, default is None, default), where, key)
+
+
+def _reals(node, where) -> list:
+    """A nonempty list of finite reals, as floats; a finite float is taken as it is."""
+    return [x if type(x) is float and abs(x) <= FLOAT_MAX else _real(x, where, i)
+            for i, x in enumerate(_list(node, where))]
 
 
 def _doc_bool(node, key, where) -> bool:
     """A true/false entry of a document node, false when absent."""
     value = node.get(key, False)
     if not isinstance(value, (bool, np.bool_)):
-        raise ValidationError(f"must be true or false, got {value!r}", f"{where}.{key}")
+        raise ValidationError(f"must be true or false, got {value!r}", _at(where, key))
     return bool(value)
 
 
 def _parse_poly(node, basis: BasisSpec, where: str) -> tuple:
     """A polynomial document node to shifted-basis coefficients."""
-    if isinstance(node, (int, float)) and not isinstance(node, bool):
-        if not abs(node) <= FLOAT_MAX:
-            raise ValidationError(f"must be finite, got {node!r}", where)
-        return (float(node),)
+    if isinstance(node, _NUMBERS) and not isinstance(node, bool):
+        return (_real(node, where),)
     if not isinstance(node, Mapping):
-        raise ValidationError(
-            "polynomial must be a number or {basis, coeffs}", where)
-    kind = _doc_get(node, "basis", where)
-    coeffs = _doc_get(node, "coeffs", where)
-    try:
-        arr = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad coefficients: {exc}", where) from None
-    if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
-        raise ValidationError("coefficients must be a nonempty finite list", where)
+        raise ValidationError("polynomial must be a number or {basis, coeffs}", where)
+    node = _object(node, where, ("basis", "coeffs"))
+    kind = _doc_text(node, "basis", where)
+    coeffs = _reals(_doc_get(node, "coeffs", where), f"{where}.coeffs")
     if kind == "power":
-        return tuple(ops.from_power_series(basis, arr))
+        return tuple(ops.from_power_series(basis, coeffs))
     if kind == "orthogonal":
-        return tuple(arr)
+        return tuple(coeffs)
     raise ValidationError(f"polynomial basis must be 'power' or 'orthogonal', got {kind!r}", where)
 
 
 def _parse_factor(node, where: str) -> tuple:
-    if not isinstance(node, Mapping) or "var" not in node:
-        raise ValidationError("factor must be an object with a 'var' key", where)
-    order = _doc_int(node, "order" if "order" in node else "deriv", where)
-    return (str(node["var"]), order)
+    node = _object(node, where, ("var", "order", "deriv"))
+    key = _one_of(node, where, ("order", "deriv")) or "order"
+    return (_doc_text(node, "var", where), _doc_int(node, key, where))
 
 
-def _parse_enclosure(node, basis: BasisSpec, where: str):
-    """(kind, KernelPoly, lower) of a term's volterra or fredholm node, or Nones.
+def _parse_enclosure(node, kind: str, basis: BasisSpec, where: str):
+    """(KernelPoly, lower) of a term's volterra or fredholm node.
 
-    That node is {kernel: [[...]], lower?: x0}.  A Volterra lower limit
-    defaults to the left end of the domain; a Fredholm term keeps none.
+    That node is {kernel: [equal-length rows]}; a Volterra node may add
+    lower: x0, which defaults to the left end of the domain.
     """
-    kind = next((k for k in (Kind.VOLTERRA, Kind.FREDHOLM) if k.value in node), None)
-    if kind is None:
-        return None, None, None
-    node, where = node[kind.value], f"{where}.{kind.value}"
-    if not isinstance(node, Mapping):
-        raise ValidationError("kernel spec must be an object", where)
-    mat = _doc_get(node, "kernel", where)
-    try:
-        arr = np.atleast_2d(np.asarray(mat, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad kernel matrix: {exc}", where) from None
-    if arr.size == 0 or not np.all(np.isfinite(arr)):
-        raise ValidationError("kernel matrix must be nonempty and finite", where)
-    kernel = ops.kernel_from_power(basis, arr)
+    where = f"{where}.{kind}"
+    node = _object(node[kind], where, ("kernel", "lower") if kind == "volterra" else ("kernel",))
+    kw = f"{where}.kernel"
+    rows = [_reals(row, f"{kw}[{r}]")
+            for r, row in enumerate(_list(_doc_get(node, "kernel", where), kw))]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValidationError("kernel rows must all have the same length", kw)
+    kernel = ops.kernel_from_power(basis, rows)
     a, b = basis.domain
     lower = a if node.get("lower") is None else _doc_float(node, "lower", where)
     if not a <= lower <= b:
         raise ValidationError(f"lower limit {lower} outside the domain [{a}, {b}]", where)
-    return kind, kernel, lower if kind is Kind.VOLTERRA else None
+    return kernel, lower if kind == "volterra" else None
 
 
 def _parse_term(node, basis: BasisSpec, where: str):
-    if not isinstance(node, Mapping):
-        raise ValidationError("term must be an object", where)
-    if "product" in node:
-        pnode = node["product"]
-        if not isinstance(pnode, Mapping):
-            raise ValidationError("'product' must be an object", where)
-        factors = tuple(
-            _parse_factor(f, f"{where}.factors[{i}]")
-            for i, f in enumerate(_doc_get(pnode, "factors", where)))
-        weight = _doc_float(pnode, "weight", f"{where}.product", 1.0)
-        enclosure, kernel, lower = _parse_enclosure(node, basis, where)
+    """A term node: a product if it has a 'product' key, else a linear term."""
+    if isinstance(node, Mapping) and "product" in node:
+        node = _object(node, where, ("product", "augment", "augment_name", "augment_initial")
+                       + _KERNEL_KINDS)
+        pw, fw = f"{where}.product", f"{where}.factors"
+        pnode = _object(node["product"], pw, ("factors", "weight"))
+        fnodes = _list(_doc_get(pnode, "factors", where), fw)
+        factors = tuple(_parse_factor(f, f"{fw}[{i}]") for i, f in enumerate(fnodes))
+        kind = _one_of(node, where, _KERNEL_KINDS)
+        kernel, lower = _parse_enclosure(node, kind, basis, where) if kind else (None, None)
         init = node.get("augment_initial")
         if init is not None:
-            if not isinstance(init, Mapping) or "point" not in init or "value" not in init:
-                raise ValidationError(
-                    "'augment_initial' must give {point, value}", where)
             iw = f"{where}.augment_initial"
+            init = _object(init, iw, ("point", "value"))
             init = (_doc_float(init, "point", iw), _doc_float(init, "value", iw))
-        name = node.get("augment_name")
-        if name is not None and not isinstance(name, str):
-            raise ValidationError(f"must be a string, got {name!r}", f"{where}.augment_name")
         return ProductTermSpec(
-            factors=factors, weight=weight, enclosure=enclosure,
-            kernel=kernel, lower=lower,
-            augment=_doc_bool(node, "augment", where),
-            augment_name=name,
+            factors=factors, weight=_doc_float(pnode, "weight", pw, 1.0), enclosure=kind,
+            kernel=kernel, lower=lower, augment=_doc_bool(node, "augment", where),
+            augment_name=_doc_text(node, "augment_name", where, required=False),
             augment_initial=init)
-    if "var" not in node:
-        raise ValidationError("linear term needs a 'var' key", where)
-    var = str(node["var"])
+    node = _object(node, where, ("var", "coeff", "deriv", "integral", "order") + _KERNEL_KINDS)
+    var = _doc_text(node, "var", where)
     coeff = _parse_poly(node.get("coeff", 1.0), basis, f"{where}.coeff")
-    kind, kernel, lower = _parse_enclosure(node, basis, where)
-    if kind is not None:
-        return LinearTermSpec(var, kind, _doc_int(node, "order", where), coeff, kernel, lower)
-    if "integral" in node:
-        return LinearTermSpec(var, Kind.INTEGRAL, _doc_int(node, "integral", where), coeff)
-    return LinearTermSpec(var, Kind.DERIVATIVE, _doc_int(node, "deriv", where), coeff)
+    key = _one_of(node, where, ("deriv", "integral") + _KERNEL_KINDS) or "deriv"
+    if key in _KERNEL_KINDS:
+        kernel, lower = _parse_enclosure(node, key, basis, where)
+        return LinearTermSpec(var, key, _doc_int(node, "order", where), coeff, kernel, lower)
+    if "order" in node:
+        raise ValidationError("'order' belongs only to volterra and fredholm terms", where)
+    kind = Kind.INTEGRAL if key == "integral" else Kind.DERIVATIVE
+    return LinearTermSpec(var, kind, _doc_int(node, key, where), coeff)
 
 
 def _parse_condition(node, where: str) -> ConditionSpec:
-    if not isinstance(node, Mapping):
-        raise ValidationError("condition must be an object", where)
-    raw = _doc_get(node, "terms", where)
-    if not isinstance(raw, Sequence) or not raw:
-        raise ValidationError("condition needs a nonempty term list", where)
+    node = _object(node, where, ("terms", "value", "attach_to"))
     terms = []
-    for i, t in enumerate(raw):
+    for i, t in enumerate(_list(_doc_get(node, "terms", where), f"{where}.terms")):
         tw = f"{where}.terms[{i}]"
-        if not isinstance(t, Mapping) or "var" not in t or "point" not in t:
-            raise ValidationError("condition term needs 'var' and 'point'", tw)
+        t = _object(t, tw, ("var", "point", "deriv", "weight"))
         terms.append(ConditionTerm(
-            var=str(t["var"]), order=_doc_int(t, "deriv", tw),
+            var=_doc_text(t, "var", tw), order=_doc_int(t, "deriv", tw),
             point=_doc_float(t, "point", tw), weight=_doc_float(t, "weight", tw, 1.0)))
-    value = _doc_float(node, "value", where)
-    attach = node.get("attach_to")
-    return ConditionSpec(tuple(terms), value, attach)
+    return ConditionSpec(tuple(terms), _doc_float(node, "value", where),
+                         _doc_text(node, "attach_to", where, required=False))
 
 
 def _parse_settings(node, where: str, overrides: Mapping) -> SolveSettings:
-    node = dict(node or {})
+    node = {} if node is None else dict(
+        _object(node, where, ("n", "newton_tol", "max_iter", "initial", "damping")))
     node.update({k: v for k, v in overrides.items() if v is not None})
-    if "n" not in node:
-        raise ValidationError("missing working size 'n'", where)
-    n = _doc_int(node, "n", where)
+    n = _doc_int(node, "n", where, None)
     if n < 1:
         raise ValidationError(f"n must be positive, got {n}", where)
     tol = _doc_float(node, "newton_tol", where, 1e-14)
@@ -435,23 +464,16 @@ def _parse_settings(node, where: str, overrides: Mapping) -> SolveSettings:
     if max_iter < 1:
         raise ValidationError("max_iter must be at least 1", where)
     initial = node.get("initial", "conditions")
-    if isinstance(initial, str):
-        if initial not in ("conditions", "zero"):
-            raise ValidationError(
-                f"initial policy must be 'conditions', 'zero', or coefficients, "
-                f"got {initial!r}", where)
-    elif isinstance(initial, Sequence):
-        try:
-            initial = tuple(
-                tuple(float(c) for c in np.atleast_1d(row)) if isinstance(row, Sequence)
-                else float(row)
-                for row in initial)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"bad coefficients: {exc}", f"{where}.initial") from None
-        if not all(np.all(np.isfinite(row)) for row in initial):
-            raise ValidationError("coefficients must be finite", f"{where}.initial")
-    else:
-        raise ValidationError("bad 'initial' entry", where)
+    if not isinstance(initial, str):
+        # one row of coefficients per unknown, or a single flat row
+        iw = f"{where}.initial"
+        rows = _list(initial, iw)
+        initial = (tuple(_reals(rows, iw)) if isinstance(rows[0], _NUMBERS) else tuple(
+            tuple(_reals(row, f"{iw}[{r}]")) for r, row in enumerate(rows)))
+    elif initial not in ("conditions", "zero"):
+        raise ValidationError(
+            f"initial policy must be 'conditions', 'zero', or coefficients, "
+            f"got {initial!r}", where)
     return SolveSettings(
         n=n, newton_tol=tol, max_iter=max_iter, initial=initial,
         damping=_doc_bool(node, "damping", where))
@@ -466,49 +488,33 @@ def parse_problem(doc: Mapping, *, n: int | None = None, family: str | None = No
     ``solve`` block (and ``family`` its basis family) before conversion,
     so power-basis data is always converted under the final basis.
     """
-    if not isinstance(doc, Mapping):
-        raise ValidationError("problem document must be an object")
-    bnode = _doc_get(doc, "basis", "basis")
-    if not isinstance(bnode, Mapping):
-        raise ValidationError("'basis' must be an object", "basis")
-    fam = family if family is not None else _doc_get(bnode, "family", "basis")
-    domain = _doc_get(bnode, "domain", "basis")
-    try:
-        a, b = float(domain[0]), float(domain[1])
-    except (TypeError, ValueError, IndexError):
-        raise ValidationError("'domain' must be a pair [a, b]", "basis") from None
-    basis = BasisSpec(fam, (a, b))
-    variables = _doc_get(doc, "variables", "variables")
-    if not isinstance(variables, Sequence) or not variables:
-        raise ValidationError("'variables' must be a nonempty list", "variables")
-    eq_nodes = _doc_get(doc, "equations", "equations")
-    if not isinstance(eq_nodes, Sequence) or not eq_nodes:
-        raise ValidationError("'equations' must be a nonempty list", "equations")
+    doc = _object(doc, "document", (
+        "name", "basis", "variables", "equations", "conditions", "solve"))
+    bnode = _object(_doc_get(doc, "basis", "basis"), "basis", ("family", "domain"))
+    fam = family if family is not None else _doc_text(bnode, "family", "basis")
+    domain = _reals(_doc_get(bnode, "domain", "basis"), "basis.domain")
+    if len(domain) != 2:
+        raise ValidationError(f"must be a pair [a, b], got {len(domain)} numbers", "basis.domain")
+    basis = BasisSpec(fam, tuple(domain))
+    names = _list(_doc_get(doc, "variables", "variables"), "variables")
+    variables = tuple(_text(v, "variables", i) for i, v in enumerate(names))
     equations = []
-    for e, node in enumerate(eq_nodes):
+    for e, node in enumerate(_list(_doc_get(doc, "equations", "equations"), "equations")):
         where = f"equations[{e}]"
-        if not isinstance(node, Mapping):
-            raise ValidationError("equation must be an object", where)
-        terms = _doc_get(node, "terms", where)
-        linear, products = [], []
-        for t, tnode in enumerate(terms):
-            parsed = _parse_term(tnode, basis, f"{where}.terms[{t}]")
-            if isinstance(parsed, ProductTermSpec):
-                products.append(parsed)
-            else:
-                linear.append(parsed)
-        rhs = _parse_poly(node.get("rhs", 0.0), basis, f"{where}.rhs")
-        equations.append(EquationSpec(tuple(linear), tuple(products), rhs))
-    cond_nodes = doc.get("conditions", [])
-    conditions = tuple(
-        _parse_condition(nodec, f"conditions[{c}]")
-        for c, nodec in enumerate(cond_nodes))
-    settings = _parse_settings(
-        doc.get("solve"), "solve",
-        {"n": n, "newton_tol": newton_tol, "max_iter": max_iter, "initial": initial})
-    spec = ProblemSpec(
-        basis=basis, variables=tuple(variables), equations=tuple(equations),
-        conditions=conditions, settings=settings, name=doc.get("name"))
+        node = _object(node, where, ("terms", "rhs"))
+        terms = [_parse_term(tnode, basis, f"{where}.terms[{t}]") for t, tnode in enumerate(
+            _list(_doc_get(node, "terms", where), f"{where}.terms", nonempty=False))]
+        equations.append(EquationSpec(
+            tuple(t for t in terms if isinstance(t, LinearTermSpec)),
+            tuple(t for t in terms if isinstance(t, ProductTermSpec)),
+            _parse_poly(node.get("rhs", 0.0), basis, f"{where}.rhs")))
+    cond_nodes = _list(doc.get("conditions", []), "conditions", nonempty=False)
+    conditions = tuple(_parse_condition(c, f"conditions[{i}]") for i, c in enumerate(cond_nodes))
+    settings = _parse_settings(doc.get("solve"), "solve", {
+        "n": n, "newton_tol": newton_tol, "max_iter": max_iter, "initial": initial})
+    spec = ProblemSpec(basis=basis, variables=variables, equations=tuple(equations),
+                       conditions=conditions, settings=settings,
+                       name=_doc_text(doc, "name", "document", required=False))
     check_working_size(spec)
     return spec
 

@@ -247,6 +247,25 @@ def test_non_boolean_flags_exit_one_with_their_location(tmp_path, capsys, mutate
     assert message in err
 
 
+@pytest.mark.parametrize("mutate, location", [
+    (lambda doc: doc["equations"][0].update(terms=5), "equations[0].terms"),
+    (lambda doc: doc.update(solve=5), "solve"),
+    (lambda doc: doc.update(conditions=5), "conditions"),
+    (lambda doc: doc["equations"][0]["terms"][2]["product"].update(factors=3),
+     "equations[0].terms[2].factors"),
+    (lambda doc: doc["basis"]["domain"].__setitem__(0, 10 ** 400), "basis.domain[0]"),
+], ids=["terms", "solve", "conditions", "factors", "domain-huge-int"])
+def test_malformed_shapes_exit_one_with_their_location(tmp_path, capsys, mutate, location):
+    doc = json.loads((resources.files("tauspec") / "problems" / "example1.json").read_text())
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == 1
+    assert err.startswith(f"error: {location}: ")
+    assert "Traceback" not in err
+
+
 def test_non_finite_linear_solve_exits_three(monkeypatch, capsys):
     """An overflowing solve is a singular system, not bad input."""
     def overflowing(lu_and_piv, b, **kwargs):

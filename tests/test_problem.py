@@ -1,5 +1,9 @@
 """Document parsing, validation, augmentation, and linearization."""
 
+import copy
+import json
+from importlib import resources
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -146,9 +150,9 @@ def _augmented_doc(**initial):
     (_set(["equations", 0, "terms", 1], {"product": {
         "factors": [{"var": "y"}, {"var": "y"}], "weight": "2"}}),
      r"terms\[1\]\.product\.weight", "must be a number"),
-    (_set(["solve", "initial"], [["x"]]), r"solve\.initial", "bad coefficients"),
-    (_set(["solve", "initial"], [[1.0, float("nan")]]), r"solve\.initial",
-     "coefficients must be finite"),
+    (_set(["solve", "initial"], [["x"]]), r"solve\.initial\[0\]\[0\]", "must be a number"),
+    (_set(["solve", "initial"], [[1.0, float("nan")]]), r"solve\.initial\[0\]\[1\]",
+     "must be finite"),
     (_set(["equations", 0, "rhs"], float("nan")), r"equations\[0\]\.rhs", "must be finite"),
     (_set(["equations", 0, "rhs"], 10 ** 400), r"equations\[0\]\.rhs", "must be finite"),
     (_set(["equations", 0, "terms", 1, "coeff"], True), r"terms\[1\]\.coeff",
@@ -198,6 +202,159 @@ def test_flags_take_json_booleans():
         term = spec.equations[0].products[0]
         assert (spec.settings.damping, term.augment, term.augment_name) == (flag, flag, "w")
     assert ts.parse_problem(_augmented_doc()).settings.damping is False
+
+
+def _builtin(name):
+    return json.loads((resources.files("tauspec") / "problems" / f"{name}.json").read_text())
+
+
+def _paths(node, prefix=()):
+    """Path of every dict value and list item below a document node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+WRONG_VALUES = (None, True, 7, 1.5, "x", [], {}, [[1.0]], [1.0, "x"], 10 ** 400)
+
+
+def test_no_document_escapes_as_a_non_validation_error():
+    """Every node of every built-in, replaced by each wrong value in turn."""
+    documents, escaped = 0, []
+    for name in ("example1", "example2", "exp-ode", "volterra-exp"):
+        base = _builtin(name)
+        for path in _paths(base):
+            for value in WRONG_VALUES:
+                doc = copy.deepcopy(base)
+                _set(path, copy.deepcopy(value))(doc)
+                documents += 1
+                try:
+                    ts.parse_problem(doc)
+                except (ts.ValidationError, ts.ConfigurationError):
+                    pass
+                except Exception as exc:  # every other escape is reported below
+                    escaped.append((name, path, value, type(exc).__name__))
+    assert documents == 2060
+    assert escaped == []
+
+
+@pytest.mark.parametrize("mutate, location, problem", [
+    (_set(["variables"], "yz"), r"variables", "must be a nonempty list, got 'yz'"),
+    (_set(["basis", "domain"], "01"), r"basis\.domain", "must be a nonempty list, got '01'"),
+    (_set(["basis", "domain"], [0, 1, 7]), r"basis\.domain", "must be a pair"),
+    (_set(["basis", "domain"], [False, True]), r"basis\.domain\[0\]", "must be a number"),
+    (_set(["equations", 0, "rhs"], {"basis": "power", "coeffs": [0.0, "1"]}),
+     r"equations\[0\]\.rhs\.coeffs\[1\]", "must be a number, got '1'"),
+    (_set(["equations", 0, "terms", 1], {"var": "y", "volterra": {"kernel": [["1"]]}}),
+     r"terms\[1\]\.volterra\.kernel\[0\]\[0\]", "must be a number"),
+    (_set(["equations", 0, "terms", 1], {"var": "y", "fredholm": {"kernel": [1.0, 2.0]}}),
+     r"terms\[1\]\.fredholm\.kernel\[0\]", "must be a nonempty list, got 1.0"),
+    (_set(["equations", 0, "terms", 1], {"var": "y", "fredholm": {"kernel": [[1.0], [1.0, 2.0]]}}),
+     r"terms\[1\]\.fredholm\.kernel", "kernel rows must all have the same length"),
+    (_set(["solve", "initial"], ["12"]), r"solve\.initial\[0\]", "must be a nonempty list"),
+    (_set(["solve", "initial"], [1.0, "2"]), r"solve\.initial\[1\]", "must be a number"),
+    (_set(["name"], 7), r"document\.name", "must be a string, got 7"),
+    (_set(["conditions", 0, "attach_to"], 0), r"conditions\[0\]\.attach_to",
+     "must be a string, got 0"),
+    (_set(["equations", 0, "terms", 0, "var"], 1), r"terms\[0\]\.var", "must be a string"),
+    (_set(["conditions", 0, "terms", 0, "var"], ["y"]), r"conditions\[0\]\.terms\[0\]\.var",
+     "must be a string"),
+    (_set(["basis", "family"], 7), r"basis\.family", "must be a string"),
+], ids=["variables-string", "domain-string", "domain-triple", "domain-bools", "coeffs-string",
+        "kernel-string", "kernel-flat", "kernel-ragged", "initial-string-row",
+        "initial-string-entry", "name", "attach_to", "term-var", "condition-var", "family"])
+def test_values_of_the_wrong_json_type_are_rejected_with_their_location(
+        mutate, location, problem):
+    doc = _doc()
+    mutate(doc)
+    with pytest.raises(ts.ValidationError, match=location + ": " + problem):
+        ts.parse_problem(doc)
+
+
+def test_initial_coefficients_keep_their_shape():
+    rows = ts.parse_problem(_doc(solve={"n": 8, "initial": [[1, 2.5]]})).settings.initial
+    flat = ts.parse_problem(_doc(solve={"n": 8, "initial": (1, 2.5)})).settings.initial
+    assert rows == ((1.0, 2.5),) and flat == (1.0, 2.5)
+    assert all(type(c) is float for c in rows[0] + flat)
+
+
+def _everything_doc():
+    """A document that uses every kind of object a document can hold."""
+    doc = _augmented_doc()
+    doc["equations"][0]["terms"][0]["coeff"] = {"basis": "power", "coeffs": [1.0]}
+    return doc
+
+
+@pytest.mark.parametrize("path, location", [
+    ([], "document"),
+    (["basis"], "basis"),
+    (["equations", 0], r"equations\[0\]"),
+    (["equations", 0, "terms", 0], r"equations\[0\]\.terms\[0\]"),
+    (["equations", 0, "terms", 0, "coeff"], r"equations\[0\]\.terms\[0\]\.coeff"),
+    (["equations", 0, "terms", 1], r"equations\[0\]\.terms\[1\]"),
+    (["equations", 0, "terms", 1, "product"], r"terms\[1\]\.product"),
+    (["equations", 0, "terms", 1, "product", "factors", 0], r"terms\[1\]\.factors\[0\]"),
+    (["equations", 0, "terms", 1, "volterra"], r"terms\[1\]\.volterra"),
+    (["equations", 0, "terms", 1, "augment_initial"], r"terms\[1\]\.augment_initial"),
+    (["conditions", 0], r"conditions\[0\]"),
+    (["conditions", 0, "terms", 0], r"conditions\[0\]\.terms\[0\]"),
+    (["solve"], "solve"),
+], ids=["document", "basis", "equation", "linear-term", "polynomial", "product-term", "product",
+        "factor", "kernel", "augment_initial", "condition", "condition-term", "solve"])
+def test_unknown_keys_are_rejected_with_their_object(path, location):
+    doc = _everything_doc()
+    ts.parse_problem(doc)
+    node = doc
+    for key in path:
+        node = node[key]
+    node["derivs"] = 1
+    with pytest.raises(ts.ValidationError, match=location + ": unknown key 'derivs'"):
+        ts.parse_problem(doc)
+
+
+def test_a_fredholm_term_takes_no_lower_limit():
+    doc = _doc()
+    doc["equations"][0]["terms"][1] = {"var": "y", "fredholm": {"kernel": [[1.0]], "lower": 0.5}}
+    with pytest.raises(ts.ValidationError, match=r"terms\[1\]\.fredholm: unknown key 'lower'"):
+        ts.parse_problem(doc)
+
+
+_PAIR = {"factors": [{"var": "y"}, {"var": "y"}]}
+_KERNEL = {"kernel": [[1.0]]}
+
+
+@pytest.mark.parametrize("term, where, problem", [
+    ({"var": "y", "deriv": 1, "integral": 1}, "", "give at most one of 'deriv' and 'integral'"),
+    ({"var": "y", "integral": 1, "volterra": _KERNEL}, "",
+     "give at most one of 'integral' and 'volterra'"),
+    ({"var": "y", "volterra": _KERNEL, "fredholm": _KERNEL}, "",
+     "give at most one of 'volterra' and 'fredholm'"),
+    ({"product": _PAIR, "volterra": _KERNEL, "fredholm": _KERNEL}, "",
+     "give at most one of 'volterra' and 'fredholm'"),
+    ({"product": _PAIR, "var": "y"}, "", "unknown key 'var'"),
+    ({"product": _PAIR, "coeff": 2.0}, "", "unknown key 'coeff'"),
+    ({"product": _PAIR, "deriv": 1}, "", "unknown key 'deriv'"),
+    ({"product": _PAIR, "integral": 1}, "", "unknown key 'integral'"),
+    ({"product": _PAIR, "order": 1, "volterra": _KERNEL}, "", "unknown key 'order'"),
+    ({"product": {"factors": [{"var": "y", "order": 1, "deriv": 1}, {"var": "y"}]}},
+     r"\.factors\[0\]", "give at most one of 'order' and 'deriv'"),
+    ({"var": "y", "order": 1}, "", "'order' belongs only to volterra and fredholm terms"),
+    ({"var": "y", "deriv": 1, "order": 1}, "", "'order' belongs only to volterra"),
+], ids=["deriv-integral", "integral-volterra", "volterra-fredholm", "product-two-kernels",
+        "product-var", "product-coeff", "product-deriv", "product-integral", "product-order",
+        "factor-order-deriv", "order-alone", "order-with-deriv"])
+def test_conflicting_keys_are_rejected_at_their_term(term, where, problem):
+    doc = _doc()
+    doc["equations"][0]["terms"][1] = term
+    with pytest.raises(ts.ValidationError,
+                       match=r"equations\[0\]\.terms\[1\]" + where + ": " + problem):
+        ts.parse_problem(doc)
 
 
 def test_float_fields_take_ints_and_numpy_floats():
