@@ -1,9 +1,11 @@
 """Problem descriptions: term types, document parsing, and linearization.
 
 A problem is a square system of integro-differential equations with
-polynomial data: one equation per unknown, each equation a sum of linear
-terms, products of unknowns (possibly under an integral sign), and a
-polynomial right-hand side, plus point conditions.  Documents arrive as
+polynomial data: one equation per unknown, each equation a sum of terms
+equal to a polynomial right-hand side, plus point conditions.  A term is
+a coefficient times a product of unknowns, each possibly differentiated
+or integrated, the product possibly under an integral sign; a term of
+one factor is linear.  Documents arrive as
 JSON-compatible dictionaries; all polynomial data is converted to the
 shifted orthogonal basis on load, and kernels are given as power-basis
 coefficient matrices in (x, t).
@@ -31,8 +33,7 @@ from . import operators as ops
 
 __all__ = [
     "Kind",
-    "LinearTermSpec",
-    "ProductTermSpec",
+    "TermSpec",
     "ConditionTerm",
     "ConditionSpec",
     "EquationSpec",
@@ -54,58 +55,28 @@ FLOAT_MAX = float(np.finfo(float).max)
 
 
 class Kind(str, enum.Enum):
-    DERIVATIVE = "derivative"
-    INTEGRAL = "integral"
+    """The integral a term's product sits inside."""
+
     VOLTERRA = "volterra"
     FREDHOLM = "fredholm"
 
 
 @dataclass(frozen=True)
-class LinearTermSpec:
-    """One linear term acting on a single unknown.
+class TermSpec:
+    """A coefficient times a product of unknowns, optionally under an integral.
 
-    ``order`` is the derivative order for DERIVATIVE terms, the iterated
-    antiderivative order for INTEGRAL terms, and for the two kernel
-    kinds the order applied to the unknown inside the integral (negative
-    for antiderivatives).  ``coeff`` multiplies the result from outside,
-    as shifted-basis coefficients.
-    """
-
-    var: str
-    kind: Kind
-    order: int = 0
-    coeff: tuple = (1.0,)
-    kernel: "ops.KernelPoly | None" = None
-    lower: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "kind", Kind(self.kind))
-        object.__setattr__(self, "coeff", tuple(float(c) for c in np.atleast_1d(self.coeff)))
-        if self.kind is Kind.DERIVATIVE and self.order < 0:
-            raise ValidationError("derivative order must be nonnegative")
-        if self.kind is Kind.INTEGRAL and self.order < 1:
-            raise ValidationError("integral order must be at least 1")
-        if self.kind in (Kind.VOLTERRA, Kind.FREDHOLM) and self.kernel is None:
-            raise ValidationError(f"{self.kind.value} term needs a kernel")
-
-    @property
-    def inner_order(self) -> int:
-        """Order applied to the unknown: d/dx counts up, antiderivatives down."""
-        return -self.order if self.kind is Kind.INTEGRAL else self.order
-
-
-@dataclass(frozen=True)
-class ProductTermSpec:
-    """A scalar-weighted product of unknowns, optionally under an integral.
-
-    ``factors`` is an ordered tuple of (variable, order) pairs, order as
-    in LinearTermSpec.  With an enclosure the whole product sits inside
-    the integral as a function of t.  ``augment`` asks for the product
-    to be replaced by an auxiliary unknown before solving.
+    ``factors`` is an ordered tuple of (variable, order) pairs; an order
+    k > 0 differentiates the unknown k times and k < 0 integrates it -k
+    times.  One factor makes a linear term, whose ``coeff`` is a
+    polynomial multiplying it from outside, as shifted-basis
+    coefficients.  Two or more make a product, whose ``coeff`` is one
+    scalar weight.  With an ``enclosure`` the product sits inside that
+    integral as a function of t.  ``augment`` asks for a product under
+    an integral to be replaced by an auxiliary unknown before solving.
     """
 
     factors: tuple
-    weight: float = 1.0
+    coeff: tuple = (1.0,)
     enclosure: Kind | None = None
     kernel: "ops.KernelPoly | None" = None
     lower: float | None = None
@@ -115,16 +86,20 @@ class ProductTermSpec:
 
     def __post_init__(self):
         facs = tuple((str(v), int(o)) for v, o in self.factors)
-        if len(facs) < 2:
-            raise ValidationError("a product term needs at least two factors")
+        coeff = tuple(float(c) for c in np.atleast_1d(self.coeff))
+        if not facs:
+            raise ValidationError("a term needs at least one factor")
+        if len(facs) > 1 and len(coeff) != 1:
+            raise ValidationError("a product takes one weight, not a polynomial")
         object.__setattr__(self, "factors", facs)
+        object.__setattr__(self, "coeff", coeff)
         if self.enclosure is not None:
             if self.enclosure not in (Kind.VOLTERRA, Kind.FREDHOLM):
                 raise ValidationError(f"unknown enclosure {self.enclosure!r}")
             if self.kernel is None:
-                raise ValidationError("an enclosed product needs a kernel")
+                raise ValidationError("a term inside an integral needs a kernel")
             object.__setattr__(self, "enclosure", Kind(self.enclosure))
-        if self.augment and self.enclosure is None:
+        if self.augment and (self.enclosure is None or len(facs) < 2):
             raise ValidationError("augmentation applies to products inside integrals")
 
 
@@ -147,12 +122,23 @@ class ConditionSpec:
 
 @dataclass(frozen=True)
 class EquationSpec:
-    linear: tuple = ()
-    products: tuple = ()
+    """The sum of ``terms``, in document order, equals the polynomial ``rhs``."""
+
+    terms: tuple = ()
     rhs: tuple = (0.0,)
 
     def __post_init__(self):
         object.__setattr__(self, "rhs", tuple(float(c) for c in np.atleast_1d(self.rhs)))
+
+    @property
+    def linear(self) -> tuple:
+        """The one-factor terms, in order."""
+        return tuple(t for t in self.terms if len(t.factors) == 1)
+
+    @property
+    def products(self) -> tuple:
+        """The terms of two or more factors, in order."""
+        return tuple(t for t in self.terms if len(t.factors) > 1)
 
 
 @dataclass(frozen=True)
@@ -226,21 +212,18 @@ def _validate_spec(spec: ProblemSpec) -> None:
             f"system must be square: {len(names)} variables, "
             f"{len(spec.equations)} equations")
     cap = DERIV_CAP
+    # derivatives need conditions, except on the one unknown of a kernel term
+    has_deriv = False
     for e, eq in enumerate(spec.equations):
-        for t, term in enumerate(eq.linear):
+        for t, term in enumerate(eq.terms):
             where = f"equations[{e}].terms[{t}]"
-            if term.var not in names:
-                raise ValidationError(f"unknown variable {term.var!r}", where)
-            if abs(term.order) > cap:
-                raise ValidationError(
-                    f"order {term.order} exceeds the cap {cap}", where)
-        for t, term in enumerate(eq.products):
-            where = f"equations[{e}].products[{t}]"
+            counts = term.enclosure is None or len(term.factors) > 1
             for v, o in term.factors:
                 if v not in names:
                     raise ValidationError(f"unknown variable {v!r}", where)
                 if abs(o) > cap:
-                    raise ValidationError(f"factor order {o} exceeds the cap {cap}", where)
+                    raise ValidationError(f"order {o} exceeds the cap {cap}", where)
+                has_deriv = has_deriv or counts and o >= 1
     for c, cond in enumerate(spec.conditions):
         where = f"conditions[{c}]"
         for term in cond.terms:
@@ -250,10 +233,6 @@ def _validate_spec(spec: ProblemSpec) -> None:
                 raise ValidationError(f"condition order {term.order} out of range", where)
         if cond.attach_to is not None and cond.attach_to not in names:
             raise ValidationError(f"unknown variable {cond.attach_to!r}", where)
-    has_deriv = any(
-        term.kind is Kind.DERIVATIVE and term.order >= 1
-        for eq in spec.equations for term in eq.linear) or any(
-        o >= 1 for eq in spec.equations for p in eq.products for _, o in p.factors)
     if has_deriv and not spec.conditions:
         raise ValidationError(
             "equations involve derivatives but no conditions were given")
@@ -264,6 +243,7 @@ def _validate_spec(spec: ProblemSpec) -> None:
 
 _NUMBERS = (int, float, np.integer, np.floating)
 _KERNEL_KINDS = ("volterra", "fredholm")
+_OVERFLOW = "overflows in the conversion to the shifted basis"
 
 
 def _at(where, key=None):
@@ -369,11 +349,16 @@ def _parse_poly(node, basis: BasisSpec, where: str) -> tuple:
     node = _object(node, where, ("basis", "coeffs"))
     kind = _doc_text(node, "basis", where)
     coeffs = _reals(_doc_get(node, "coeffs", where), f"{where}.coeffs")
-    if kind == "power":
-        return tuple(ops.from_power_series(basis, coeffs))
     if kind == "orthogonal":
         return tuple(coeffs)
-    raise ValidationError(f"polynomial basis must be 'power' or 'orthogonal', got {kind!r}", where)
+    if kind != "power":
+        raise ValidationError(
+            f"polynomial basis must be 'power' or 'orthogonal', got {kind!r}", where)
+    with np.errstate(over="ignore", invalid="ignore"):
+        converted = ops.from_power_series(basis, coeffs)
+    if not np.all(np.isfinite(converted)):
+        raise ValidationError(_OVERFLOW, where)
+    return tuple(converted)
 
 
 def _parse_factor(node, where: str) -> tuple:
@@ -395,7 +380,11 @@ def _parse_enclosure(node, kind: str, basis: BasisSpec, where: str):
             for r, row in enumerate(_list(_doc_get(node, "kernel", where), kw))]
     if any(len(row) != len(rows[0]) for row in rows):
         raise ValidationError("kernel rows must all have the same length", kw)
-    kernel = ops.kernel_from_power(basis, rows)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            kernel = ops.kernel_from_power(basis, rows)
+    except ValueError:  # the only one left: a converted coefficient is not finite
+        raise ValidationError(_OVERFLOW, kw) from None
     a, b = basis.domain
     lower = a if node.get("lower") is None else _doc_float(node, "lower", where)
     if not a <= lower <= b:
@@ -403,38 +392,52 @@ def _parse_enclosure(node, kind: str, basis: BasisSpec, where: str):
     return kernel, lower if kind == "volterra" else None
 
 
-def _parse_term(node, basis: BasisSpec, where: str):
-    """A term node: a product if it has a 'product' key, else a linear term."""
+def _parse_term(node, basis: BasisSpec, where: str) -> TermSpec:
+    """A term node: a product if it has a 'product' key, else one unknown.
+
+    A lone unknown's ``deriv: k`` becomes the factor order k and its
+    ``integral: k`` the order -k; a kernel term's ``order`` is kept as given.
+    """
+    extra = {}
     if isinstance(node, Mapping) and "product" in node:
         node = _object(node, where, ("product", "augment", "augment_name", "augment_initial")
                        + _KERNEL_KINDS)
-        pw, fw = f"{where}.product", f"{where}.factors"
+        pw = f"{where}.product"
+        fw = f"{pw}.factors"
         pnode = _object(node["product"], pw, ("factors", "weight"))
-        fnodes = _list(_doc_get(pnode, "factors", where), fw)
+        fnodes = _list(_doc_get(pnode, "factors", pw), fw)
+        if len(fnodes) < 2:
+            raise ValidationError("a product needs at least two factors", fw)
         factors = tuple(_parse_factor(f, f"{fw}[{i}]") for i, f in enumerate(fnodes))
+        coeff = (_doc_float(pnode, "weight", pw, 1.0),)
         kind = _one_of(node, where, _KERNEL_KINDS)
-        kernel, lower = _parse_enclosure(node, kind, basis, where) if kind else (None, None)
         init = node.get("augment_initial")
         if init is not None:
             iw = f"{where}.augment_initial"
             init = _object(init, iw, ("point", "value"))
             init = (_doc_float(init, "point", iw), _doc_float(init, "value", iw))
-        return ProductTermSpec(
-            factors=factors, weight=_doc_float(pnode, "weight", pw, 1.0), enclosure=kind,
-            kernel=kernel, lower=lower, augment=_doc_bool(node, "augment", where),
-            augment_name=_doc_text(node, "augment_name", where, required=False),
-            augment_initial=init)
-    node = _object(node, where, ("var", "coeff", "deriv", "integral", "order") + _KERNEL_KINDS)
-    var = _doc_text(node, "var", where)
-    coeff = _parse_poly(node.get("coeff", 1.0), basis, f"{where}.coeff")
-    key = _one_of(node, where, ("deriv", "integral") + _KERNEL_KINDS) or "deriv"
-    if key in _KERNEL_KINDS:
-        kernel, lower = _parse_enclosure(node, key, basis, where)
-        return LinearTermSpec(var, key, _doc_int(node, "order", where), coeff, kernel, lower)
-    if "order" in node:
-        raise ValidationError("'order' belongs only to volterra and fredholm terms", where)
-    kind = Kind.INTEGRAL if key == "integral" else Kind.DERIVATIVE
-    return LinearTermSpec(var, kind, _doc_int(node, key, where), coeff)
+        extra = dict(augment=_doc_bool(node, "augment", where), augment_initial=init,
+                     augment_name=_doc_text(node, "augment_name", where, required=False))
+    else:
+        node = _object(node, where, ("var", "coeff", "deriv", "integral", "order") + _KERNEL_KINDS)
+        var = _doc_text(node, "var", where)
+        coeff = _parse_poly(node.get("coeff", 1.0), basis, f"{where}.coeff")
+        key = _one_of(node, where, ("deriv", "integral") + _KERNEL_KINDS) or "deriv"
+        kind = key if key in _KERNEL_KINDS else None
+        if kind is None and "order" in node:
+            raise ValidationError("'order' belongs only to volterra and fredholm terms", where)
+        order = _doc_int(node, "order" if kind else key, where)
+        if key == "deriv" and order < 0:
+            raise ValidationError(
+                f"derivative order must be nonnegative, got {order}", _at(where, key))
+        if key == "integral":
+            if order < 1:
+                raise ValidationError(
+                    f"integral order must be at least 1, got {order}", _at(where, key))
+            order = -order
+        factors = ((var, order),)
+    kernel, lower = _parse_enclosure(node, kind, basis, where) if kind else (None, None)
+    return TermSpec(factors, coeff, kind, kernel, lower, **extra)
 
 
 def _parse_condition(node, where: str) -> ConditionSpec:
@@ -502,12 +505,10 @@ def parse_problem(doc: Mapping, *, n: int | None = None, family: str | None = No
     for e, node in enumerate(_list(_doc_get(doc, "equations", "equations"), "equations")):
         where = f"equations[{e}]"
         node = _object(node, where, ("terms", "rhs"))
-        terms = [_parse_term(tnode, basis, f"{where}.terms[{t}]") for t, tnode in enumerate(
-            _list(_doc_get(node, "terms", where), f"{where}.terms", nonempty=False))]
+        terms = tuple(_parse_term(tnode, basis, f"{where}.terms[{t}]") for t, tnode in enumerate(
+            _list(_doc_get(node, "terms", where), f"{where}.terms", nonempty=False)))
         equations.append(EquationSpec(
-            tuple(t for t in terms if isinstance(t, LinearTermSpec)),
-            tuple(t for t in terms if isinstance(t, ProductTermSpec)),
-            _parse_poly(node.get("rhs", 0.0), basis, f"{where}.rhs")))
+            terms, _parse_poly(node.get("rhs", 0.0), basis, f"{where}.rhs")))
     cond_nodes = _list(doc.get("conditions", []), "conditions", nonempty=False)
     conditions = tuple(_parse_condition(c, f"conditions[{i}]") for i, c in enumerate(cond_nodes))
     settings = _parse_settings(doc.get("solve"), "solve", {
@@ -523,15 +524,10 @@ def parse_problem(doc: Mapping, *, n: int | None = None, family: str | None = No
 # augmentation
 
 
-def _chain_rule_products(factors: tuple) -> list[ProductTermSpec]:
-    """Product terms for the derivative of a bare product of unknowns."""
-    out = []
-    for f in range(len(factors)):
-        bumped = tuple(
-            (v, o + 1) if g == f else (v, o)
-            for g, (v, o) in enumerate(factors))
-        out.append(ProductTermSpec(factors=bumped, weight=1.0))
-    return out
+def _chain_rule_products(factors: tuple, weight: float) -> tuple:
+    """The products that make up weight * d/dx of a bare product of unknowns."""
+    return tuple(TermSpec(factors[:f] + ((v, o + 1),) + factors[f + 1:], (weight,))
+                 for f, (v, o) in enumerate(factors))
 
 
 def _point_values(spec: ProblemSpec) -> dict:
@@ -547,7 +543,7 @@ def _point_values(spec: ProblemSpec) -> dict:
     return known
 
 
-def _aux_initial(term: ProductTermSpec, spec: ProblemSpec, aux: str):
+def _aux_initial(term: TermSpec, spec: ProblemSpec, aux: str):
     """Find (point, value) for the auxiliary unknown."""
     if term.augment_initial is not None:
         return term.augment_initial
@@ -579,43 +575,35 @@ def augment_variables(spec: ProblemSpec) -> ProblemSpec:
     derived from the original conditions.  Without marked products the
     spec is returned unchanged.
     """
-    if not any(t.augment for eq in spec.equations for t in eq.products):
+    if not any(t.augment for eq in spec.equations for t in eq.terms):
         return spec
     variables = list(spec.variables)
-    equations = [[list(eq.linear), list(eq.products), eq.rhs] for eq in spec.equations]
     conditions = list(spec.conditions)
-    new_equations = []
-    counter = 0
-    for e, eq in enumerate(spec.equations):
-        for term in eq.products:
+    equations, new_equations = [], []
+    for eq in spec.equations:
+        kept, replaced = [], []
+        for term in eq.terms:
             if not term.augment:
+                kept.append(term)
                 continue
-            aux = term.augment_name or f"aux{counter}"
-            counter += 1
+            aux = term.augment_name or f"aux{len(new_equations)}"
             if aux in variables:
                 raise ValidationError(
                     f"auxiliary variable name {aux!r} collides with an existing one")
             point, value = _aux_initial(term, spec, aux)
             variables.append(aux)
-            equations[e][1].remove(term)
-            equations[e][0].append(LinearTermSpec(
-                var=aux, kind=term.enclosure, order=0, coeff=(term.weight,),
-                kernel=term.kernel, lower=term.lower))
-            defining = [ProductTermSpec(factors=p.factors, weight=-1.0)
-                        for p in _chain_rule_products(term.factors)]
+            replaced.append(TermSpec(((aux, 0),), term.coeff, term.enclosure,
+                                     term.kernel, term.lower))
             new_equations.append(EquationSpec(
-                linear=(LinearTermSpec(var=aux, kind=Kind.DERIVATIVE, order=1),),
-                products=tuple(defining),
-                rhs=(0.0,)))
+                (TermSpec(((aux, 1),)),) + _chain_rule_products(term.factors, -1.0)))
             conditions.append(ConditionSpec(
                 terms=(ConditionTerm(var=aux, order=0, point=point),),
                 value=value, attach_to=aux))
-    equations = [EquationSpec(tuple(lin), tuple(prod), rhs)
-                 for lin, prod, rhs in equations]
+        equations.append(EquationSpec(tuple(kept + replaced), eq.rhs))
     return replace(
         spec,
         variables=tuple(variables),
-        equations=tuple(equations) + tuple(new_equations),
+        equations=tuple(equations + new_equations),
         conditions=tuple(conditions))
 
 
@@ -700,12 +688,12 @@ def _kernel_times_t_poly(kernel: "ops.KernelPoly", phi: Series, n: int) -> "ops.
     return ops.KernelPoly(kernel.basis, out)
 
 
-def _apply_integral(kind, kernel, lower, series: Series) -> Series:
-    """Exact image of a Series under a Volterra or Fredholm integral, else the Series."""
-    if kind is Kind.VOLTERRA:
-        return ops.volterra_apply(kernel, lower, series)
-    if kind is Kind.FREDHOLM:
-        return ops.fredholm_apply(kernel, series)
+def _apply_integral(term: TermSpec, series: Series) -> Series:
+    """Exact image of a Series under the term's integral, or the Series itself."""
+    if term.enclosure is Kind.VOLTERRA:
+        return ops.volterra_apply(term.kernel, term.lower, series)
+    if term.enclosure is Kind.FREDHOLM:
+        return ops.fredholm_apply(term.kernel, series)
     return series
 
 
@@ -726,21 +714,18 @@ def linearize(spec: ProblemSpec, iterate: Mapping) -> ProblemSpec:
     kernels: dict = {}
     equations = []
     for eq in spec.equations:
-        linear = list(eq.linear)
+        terms = list(eq.linear)
         rhs = np.zeros(max(len(eq.rhs), n))
         rhs[: len(eq.rhs)] = eq.rhs
         for term in eq.products:
-            p = len(term.factors)
-            for i, (v, o) in enumerate(term.factors):
+            (weight,), p = term.coeff, len(term.factors)
+            for i, factor in enumerate(term.factors):
                 others = term.factors[:i] + term.factors[i + 1:]
                 if term.enclosure is None:
                     phi = _frozen_product(frozen, others, n)
                     # one frozen antiderivative keeps n + 1 coefficients
                     phi_n = _truncated(phi.coeffs, n, "frozen coefficient")
-                    coeff = tuple(term.weight * phi_n)
-                    kind = Kind.DERIVATIVE if o >= 0 else Kind.INTEGRAL
-                    linear.append(LinearTermSpec(
-                        var=v, kind=kind, order=abs(o), coeff=coeff))
+                    terms.append(TermSpec((factor,), weight * phi_n))
                 else:
                     k = term.kernel.coeffs
                     key = (k.shape, k.tobytes(), others)
@@ -748,15 +733,13 @@ def linearize(spec: ProblemSpec, iterate: Mapping) -> ProblemSpec:
                     if new_kernel is None:
                         phi = _frozen_product(frozen, others, n)
                         new_kernel = kernels[key] = _kernel_times_t_poly(term.kernel, phi, n)
-                    linear.append(LinearTermSpec(
-                        var=v, kind=term.enclosure, order=o, coeff=(term.weight,),
-                        kernel=new_kernel, lower=term.lower))
-            whole = _frozen_product(frozen, term.factors, n)
-            moved = _apply_integral(term.enclosure, term.kernel, term.lower, whole)
-            corr = term.weight * (p - 1) * moved.coeffs
+                    terms.append(TermSpec((factor,), term.coeff, term.enclosure,
+                                          new_kernel, term.lower))
+            moved = _apply_integral(term, _frozen_product(frozen, term.factors, n))
+            corr = weight * (p - 1) * moved.coeffs
             corr = _truncated(corr, rhs.size, "rhs correction")
             rhs[: corr.size] += corr
-        equations.append(EquationSpec(tuple(linear), (), tuple(rhs)))
+        equations.append(EquationSpec(tuple(terms), tuple(rhs)))
     return replace(spec, equations=tuple(equations))
 
 

@@ -124,22 +124,23 @@ def _attribution(spec: ProblemSpec) -> list[int]:
 
 
 def _term_core(term, n: int, store: ops.WorkingSize) -> np.ndarray:
-    """A term's operator before its coefficient: a calculus power or a kernel's integral."""
-    if term.kind in (Kind.DERIVATIVE, Kind.INTEGRAL):
-        return store.power(term.inner_order)
-    if term.kind is Kind.VOLTERRA:
+    """A linear term's operator before its coefficient: a calculus power or a kernel's integral."""
+    (_, order), = term.factors
+    if term.enclosure is None:
+        return store.power(order)
+    if term.enclosure is Kind.VOLTERRA:
         core = ops.volterra_operator(term.kernel, term.lower, n, store)
     else:
         core = ops.fredholm_operator(term.kernel, n, store)
-    if term.order:
-        core = core @ store.power(term.order)
+    if order:
+        core = core @ store.power(order)
     return core
 
 
 def _term_key(term) -> tuple:
-    """The exact inputs of a term's matrix but its variable, as bytes; the coefficient last."""
+    """The exact inputs of a linear term's matrix but its variable, as bytes; the coefficient last."""
     kernel = term.kernel
-    return (term.kind, term.order,
+    return (term.enclosure, term.factors[0][1],
             None if kernel is None else (kernel.coeffs.shape, kernel.coeffs.tobytes()),
             None if term.lower is None else np.float64(term.lower).tobytes(),
             np.array(term.coeff).tobytes())
@@ -188,7 +189,7 @@ def assemble(spec: ProblemSpec, n: int | None = None,
     for e, eq in enumerate(spec.equations):
         keep = n - nu_e[e]
         blocks: dict = {}
-        for ti, term in enumerate(eq.linear):
+        for ti, term in enumerate(eq.terms):
             key = _term_key(term)
             if key not in matrices:
                 if key[:-1] not in cores:
@@ -204,10 +205,8 @@ def assemble(spec: ProblemSpec, n: int | None = None,
                             f"equations[{e}].terms[{ti}]") from None
                     matrices[key] = outer @ matrices[key]
             mat = matrices[key]
-            if term.var in blocks:
-                blocks[term.var] = blocks[term.var] + mat
-            else:
-                blocks[term.var] = mat
+            var = term.factors[0][0]
+            blocks[var] = blocks[var] + mat if var in blocks else mat
         for var, mat in blocks.items():
             a[r : r + keep, col_of[var]] = mat[:keep]
         rhs = np.zeros(keep)
@@ -251,19 +250,12 @@ def solve_linear(system: TauSystem) -> tuple[np.ndarray, dict]:
     return x, diagnostics
 
 
-def _apply_linear_term_exact(term, frozen: FrozenIterate) -> Series:
-    s = _apply_integral(term.kind, term.kernel, term.lower,
-                        frozen.factor((term.var, term.inner_order)))
-    coeff = np.asarray(term.coeff)
-    if coeff.size == 1 and coeff[0] == 1.0:
-        return s
-    return product(Series(s.basis, coeff), s)
-
-
-def _apply_product_term_exact(term, frozen: FrozenIterate) -> Series:
-    acc = _frozen_product(frozen, term.factors)
-    acc = _apply_integral(term.enclosure, term.kernel, term.lower, acc)
-    return Series(acc.basis, term.weight * acc.coeffs)
+def _apply_term_exact(term, frozen: FrozenIterate) -> Series:
+    """A term at the iterate in exact arithmetic: the coefficient times the enclosed product."""
+    s = _apply_integral(term, _frozen_product(frozen, term.factors))
+    if len(term.coeff) == 1:
+        return Series(s.basis, term.coeff[0] * s.coeffs)
+    return product(Series(s.basis, np.asarray(term.coeff)), s)
 
 
 def _padded(a: np.ndarray, width: int) -> np.ndarray:
@@ -295,10 +287,9 @@ def equation_defects(spec: ProblemSpec, iterate: Mapping) -> list[Series]:
     out = []
     for eq in spec.equations:
         total = None
-        for term in eq.linear:
-            total = _accumulate(total, _apply_linear_term_exact(term, frozen))
-        for term in eq.products:
-            total = _accumulate(total, _apply_product_term_exact(term, frozen))
+        # the one-factor terms first, then the products
+        for term in eq.linear + eq.products:
+            total = _accumulate(total, _apply_term_exact(term, frozen))
         rhs = np.asarray(eq.rhs, dtype=float)
         if total is None:
             total = np.zeros(max(rhs.size, 1))

@@ -188,37 +188,36 @@ def linearize(spec, iterate):
         for term in eq.products:
             frozen = [ts.apply_order(iterate[v], o) for v, o in term.factors]
             p = len(term.factors)
-            for i, (v, o) in enumerate(term.factors):
+            weight = term.coeff[0]
+            for i, factor in enumerate(term.factors):
                 others = [frozen[j] for j in range(p) if j != i]
                 phi = _frozen_product(others, n)
                 if term.enclosure is None:
                     phi_n = problem._truncated(phi.coeffs, n, "frozen coefficient")
-                    coeff = tuple(term.weight * phi_n)
-                    kind = problem.Kind.DERIVATIVE if o >= 0 else problem.Kind.INTEGRAL
-                    linear.append(problem.LinearTermSpec(
-                        var=v, kind=kind, order=abs(o), coeff=coeff))
+                    linear.append(ts.TermSpec((factor,), tuple(weight * phi_n)))
                 else:
                     new_kernel = problem._kernel_times_t_poly(term.kernel, phi, n)
-                    linear.append(problem.LinearTermSpec(
-                        var=v, kind=term.enclosure, order=o, coeff=(term.weight,),
-                        kernel=new_kernel, lower=term.lower))
+                    linear.append(ts.TermSpec((factor,), (weight,), term.enclosure,
+                                              new_kernel, term.lower))
             whole = _frozen_product(frozen, n)
-            moved = problem._apply_integral(term.enclosure, term.kernel, term.lower, whole)
-            corr = term.weight * (p - 1) * moved.coeffs
+            moved = problem._apply_integral(term, whole)
+            corr = weight * (p - 1) * moved.coeffs
             corr = problem._truncated(corr, rhs.size, "rhs correction")
             rhs[: corr.size] += corr
-        equations.append(problem.EquationSpec(tuple(linear), (), tuple(rhs)))
+        equations.append(ts.EquationSpec(tuple(linear), tuple(rhs)))
     return replace(spec, equations=tuple(equations))
 
 
-def apply_product_term_exact(term, iterate):
-    """Exact product term, its factors multiplied in the written order."""
+def apply_term_exact(term, iterate):
+    """Exact term, its factors computed afresh and multiplied in the written order."""
     acc = None
     for v, o in term.factors:
         s = ts.apply_order(iterate[v], o)
         acc = s if acc is None else ts.product(acc, s)
-    acc = ts.problem._apply_integral(term.enclosure, term.kernel, term.lower, acc)
-    return ts.Series(acc.basis, term.weight * acc.coeffs)
+    acc = ts.problem._apply_integral(term, acc)
+    if len(term.coeff) == 1:
+        return ts.Series(acc.basis, term.coeff[0] * acc.coeffs)
+    return ts.product(ts.Series(acc.basis, np.asarray(term.coeff)), acc)
 
 
 def calculus_powers(basis, n):
@@ -244,15 +243,16 @@ def _one_term_matrix(term, basis, n, power, where):
     except ValueError as exc:
         raise ts.ValidationError(
             f"{exc}; increase n to fit the coefficient polynomial", where) from None
-    if term.kind in (ts.problem.Kind.DERIVATIVE, ts.problem.Kind.INTEGRAL):
-        core = power(term.inner_order)
+    (_, order), = term.factors
+    if term.enclosure is None:
+        core = power(order)
     else:
-        if term.kind is ts.problem.Kind.VOLTERRA:
+        if term.enclosure is ts.Kind.VOLTERRA:
             core = ts.volterra_operator(term.kernel, term.lower, n)
         else:
             core = ts.fredholm_operator(term.kernel, n)
-        if term.order:
-            core = core @ power(term.order)
+        if order:
+            core = core @ power(order)
     if len(term.coeff) == 1 and term.coeff[0] == 1.0:
         return core
     return outer @ core
@@ -289,12 +289,13 @@ def assemble(spec, n=None, store=None):
     for e, eq in enumerate(spec.equations):
         keep = n - nu_e[e]
         blocks = {}
-        for ti, term in enumerate(eq.linear):
+        for ti, term in enumerate(eq.terms):
             mat = _one_term_matrix(term, basis, n, power, f"equations[{e}].terms[{ti}]")
-            if term.var in blocks:
-                blocks[term.var] = blocks[term.var] + mat
+            var = term.factors[0][0]
+            if var in blocks:
+                blocks[var] = blocks[var] + mat
             else:
-                blocks[term.var] = mat
+                blocks[var] = mat
         for var, mat in blocks.items():
             a[r : r + keep, col_of[var]] = mat[:keep]
         rhs = np.zeros(keep)

@@ -247,16 +247,25 @@ def test_non_boolean_flags_exit_one_with_their_location(tmp_path, capsys, mutate
     assert message in err
 
 
-@pytest.mark.parametrize("mutate, location", [
-    (lambda doc: doc["equations"][0].update(terms=5), "equations[0].terms"),
-    (lambda doc: doc.update(solve=5), "solve"),
-    (lambda doc: doc.update(conditions=5), "conditions"),
-    (lambda doc: doc["equations"][0]["terms"][2]["product"].update(factors=3),
-     "equations[0].terms[2].factors"),
-    (lambda doc: doc["basis"]["domain"].__setitem__(0, 10 ** 400), "basis.domain[0]"),
-], ids=["terms", "solve", "conditions", "factors", "domain-huge-int"])
-def test_malformed_shapes_exit_one_with_their_location(tmp_path, capsys, mutate, location):
-    doc = json.loads((resources.files("tauspec") / "problems" / "example1.json").read_text())
+@pytest.mark.parametrize("name, mutate, location", [
+    ("example1", lambda doc: doc["equations"][0].update(terms=5), "equations[0].terms"),
+    ("example1", lambda doc: doc.update(solve=5), "solve"),
+    ("example1", lambda doc: doc.update(conditions=5), "conditions"),
+    ("example1", lambda doc: doc["equations"][0]["terms"][2]["product"].update(factors=3),
+     "equations[0].terms[2].product.factors"),
+    ("example1", lambda doc: doc["basis"]["domain"].__setitem__(0, 10 ** 400),
+     "basis.domain[0]"),
+    ("example1", lambda doc: doc["equations"][0]["terms"][0].update(deriv=-1),
+     "equations[0].terms[0].deriv"),
+    # finite power coefficients whose shifted-basis coefficients overflow
+    ("exp-ode", lambda doc: doc["equations"][0].update(
+        rhs={"basis": "power", "coeffs": [1.7e308, 1.7e308]}), "equations[0].rhs"),
+    ("example1", lambda doc: doc["equations"][0]["terms"][2]["fredholm"].update(
+        kernel=[[1e308, 1e308], [1e308, 1e308]]), "equations[0].terms[2].fredholm.kernel"),
+], ids=["terms", "solve", "conditions", "factors", "domain-huge-int", "negative-deriv",
+        "rhs-overflow", "kernel-overflow"])
+def test_malformed_shapes_exit_one_with_their_location(tmp_path, capsys, name, mutate, location):
+    doc = json.loads((resources.files("tauspec") / "problems" / f"{name}.json").read_text())
     mutate(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

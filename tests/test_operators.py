@@ -142,7 +142,7 @@ def _assembled(basis, n, terms, conditions=()):
     """Assembled equation rows of one linear equation in y."""
     spec = ts.ProblemSpec(
         basis=basis, variables=("y",),
-        equations=(ts.EquationSpec(linear=tuple(terms)),),
+        equations=(ts.EquationSpec(tuple(terms)),),
         conditions=tuple(conditions), settings=ts.SolveSettings(n=n))
     return ts.assemble(spec).matrix[len(conditions):]
 
@@ -155,9 +155,9 @@ def test_differential_operator_composition():
     p1 = ts.from_power_series(basis, [0.0, 1.0])
     want = ts.polynomial_multiplication_matrix(basis, p1, n) @ (d @ d) \
         + 2.0 * d + 3.0 * np.eye(n)
-    terms = [ts.LinearTermSpec("y", ts.Kind.DERIVATIVE, 2, tuple(p1)),
-             ts.LinearTermSpec("y", ts.Kind.DERIVATIVE, 1, (2.0,)),
-             ts.LinearTermSpec("y", ts.Kind.DERIVATIVE, 0, (3.0,))]
+    terms = [ts.TermSpec((("y", 2),), tuple(p1)),
+             ts.TermSpec((("y", 1),), (2.0,)),
+             ts.TermSpec((("y", 0),), (3.0,))]
     conds = [ts.ConditionSpec((ts.ConditionTerm("y", k, 0.0),), 0.0) for k in (0, 1)]
     npt.assert_allclose(_assembled(basis, n, terms, conds), want[: n - 2], atol=1e-12)
 
@@ -168,8 +168,8 @@ def test_integral_operator_composition():
     n = 12
     o = ts.integration_matrix(basis, n) / basis.c1
     want = 2.0 * o + 0.5 * (o @ o)
-    terms = [ts.LinearTermSpec("y", ts.Kind.INTEGRAL, 1, (2.0,)),
-             ts.LinearTermSpec("y", ts.Kind.INTEGRAL, 2, (0.5,))]
+    terms = [ts.TermSpec((("y", -1),), (2.0,)),
+             ts.TermSpec((("y", -2),), (0.5,))]
     npt.assert_allclose(_assembled(basis, n, terms), want, atol=1e-12)
 
 

@@ -27,14 +27,24 @@ def _doc(**override):
     return doc
 
 
+def _set(path, value):
+    """Mutation that puts value at a path of keys and indices into the document."""
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
 def test_parse_happy_path():
     spec = ts.parse_problem(_doc())
     assert spec.variables == ("y",)
     assert spec.is_linear
     assert len(spec.equations) == 1
     eq = spec.equations[0]
-    assert eq.linear[0].kind is Kind.DERIVATIVE and eq.linear[0].order == 1
-    assert eq.linear[1].coeff == (-1.0,)
+    assert eq.terms[0].factors == (("y", 1),) and eq.terms[0].enclosure is None
+    assert eq.terms[1].factors == (("y", 0),) and eq.terms[1].coeff == (-1.0,)
     assert spec.conditions[0].value == 1.0
     assert spec.settings.n == 8
 
@@ -64,6 +74,18 @@ def test_parse_power_rhs_conversion():
     (lambda d: d["equations"][0]["terms"].append({"var": "z"}), "unknown variable"),
     (lambda d: d["equations"][0].pop("terms"), "terms"),
     (lambda d: d["conditions"][0].pop("value"), "value"),
+    # terms are named by their place in the document, products and all
+    (_set(["equations", 0, "terms"], [{"var": "y", "deriv": 1}, {"product": {"factors": [
+        {"var": "y"}, {"var": "y"}]}}, {"var": "z"}]),
+     r"equations\[0\]\.terms\[2\]: unknown variable 'z'"),
+    (_set(["equations", 0, "terms", 1], {"product": {"factors": [{"var": "y"}, {"var": "z"}]}}),
+     r"equations\[0\]\.terms\[1\]: unknown variable 'z'"),
+    (_set(["equations", 0, "terms", 1], {"product": {"weight": 2.0}}),
+     r"equations\[0\]\.terms\[1\]\.product: missing required key 'factors'"),
+    (_set(["equations", 0, "terms", 0, "deriv"], -1),
+     r"equations\[0\]\.terms\[0\]\.deriv: derivative order must be nonnegative, got -1"),
+    (_set(["equations", 0, "terms", 1], {"var": "y", "integral": 0}),
+     r"equations\[0\]\.terms\[1\]\.integral: integral order must be at least 1, got 0"),
 ])
 def test_parse_missing_pieces(mutate, needle):
     doc = _doc()
@@ -79,16 +101,6 @@ def test_parse_error_carries_location():
         ts.parse_problem(doc)
 
 
-def _set(path, value):
-    """Mutation that puts value at a path of keys and indices into the document."""
-    def mutate(doc):
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-    return mutate
-
-
 @pytest.mark.parametrize("mutate, location", [
     (_set(["equations", 0, "terms", 0, "deriv"], 1.7), r"equations\[0\]\.terms\[0\]\.deriv"),
     (_set(["equations", 0, "terms", 0, "deriv"], True), r"terms\[0\]\.deriv"),
@@ -97,7 +109,8 @@ def _set(path, value):
     (_set(["equations", 0, "terms", 1],
           {"var": "y", "order": 0.5, "volterra": {"kernel": [[1.0]]}}), r"terms\[1\]\.order"),
     (_set(["equations", 0, "terms", 1], {"product": {"factors": [
-        {"var": "y", "order": 1.5}, {"var": "y"}]}}), r"terms\[1\]\.factors\[0\]\.order"),
+        {"var": "y", "order": 1.5}, {"var": "y"}]}}),
+     r"terms\[1\]\.product\.factors\[0\]\.order"),
     (_set(["equations", 0, "terms", 1], {"product": {"factors": [
         {"var": "y", "deriv": False}, {"var": "y"}]}}), r"factors\[0\]\.deriv"),
     (_set(["conditions", 0, "terms", 0, "deriv"], 0.9), r"conditions\[0\]\.terms\[0\]\.deriv"),
@@ -119,7 +132,8 @@ def test_integer_fields_take_integral_floats():
     spec = ts.parse_problem(doc)
     assert spec.settings.n == 8 and type(spec.settings.n) is int
     assert spec.settings.max_iter == 3
-    assert spec.equations[0].linear[0].order == 1
+    assert spec.equations[0].terms[0].factors == (("y", 1),)
+    assert type(spec.equations[0].terms[0].factors[0][1]) is int
 
 
 def _augmented_doc(**initial):
@@ -299,7 +313,8 @@ def _everything_doc():
     (["equations", 0, "terms", 0, "coeff"], r"equations\[0\]\.terms\[0\]\.coeff"),
     (["equations", 0, "terms", 1], r"equations\[0\]\.terms\[1\]"),
     (["equations", 0, "terms", 1, "product"], r"terms\[1\]\.product"),
-    (["equations", 0, "terms", 1, "product", "factors", 0], r"terms\[1\]\.factors\[0\]"),
+    (["equations", 0, "terms", 1, "product", "factors", 0],
+     r"terms\[1\]\.product\.factors\[0\]"),
     (["equations", 0, "terms", 1, "volterra"], r"terms\[1\]\.volterra"),
     (["equations", 0, "terms", 1, "augment_initial"], r"terms\[1\]\.augment_initial"),
     (["conditions", 0], r"conditions\[0\]"),
@@ -343,7 +358,7 @@ _KERNEL = {"kernel": [[1.0]]}
     ({"product": _PAIR, "integral": 1}, "", "unknown key 'integral'"),
     ({"product": _PAIR, "order": 1, "volterra": _KERNEL}, "", "unknown key 'order'"),
     ({"product": {"factors": [{"var": "y", "order": 1, "deriv": 1}, {"var": "y"}]}},
-     r"\.factors\[0\]", "give at most one of 'order' and 'deriv'"),
+     r"\.product\.factors\[0\]", "give at most one of 'order' and 'deriv'"),
     ({"var": "y", "order": 1}, "", "'order' belongs only to volterra and fredholm terms"),
     ({"var": "y", "deriv": 1, "order": 1}, "", "'order' belongs only to volterra"),
 ], ids=["deriv-integral", "integral-volterra", "volterra-fredholm", "product-two-kernels",
@@ -372,18 +387,19 @@ def test_integral_kind_has_one_spelling():
     assert Kind.VOLTERRA == "volterra" and Kind.FREDHOLM == "fredholm"
     spec = ts.parse_problem(_nonlinear_doc())
     assert spec.equations[0].products[0].enclosure is Kind.FREDHOLM
+    assert [kind.value for kind in Kind] == ["volterra", "fredholm"]
     for given, kind in (("volterra", Kind.VOLTERRA), (Kind.FREDHOLM, Kind.FREDHOLM),
                         (None, None)):
-        term = ts.ProductTermSpec(factors=(("y", 0), ("y", 0)), enclosure=given,
-                                  kernel=spec.equations[0].products[0].kernel)
+        term = ts.TermSpec(factors=(("y", 0), ("y", 0)), enclosure=given,
+                           kernel=spec.equations[0].products[0].kernel)
         assert term.enclosure is kind
-    for bad in ("derivative", Kind.INTEGRAL, "Volterra"):
+    for bad in ("derivative", "integral", "Volterra"):
         with pytest.raises(ts.ValidationError, match="enclosure"):
-            ts.ProductTermSpec(factors=(("y", 0), ("y", 0)), enclosure=bad)
-    # a linear term given its kind as a string is assembled as that kind
+            ts.TermSpec(factors=(("y", 0), ("y", 0)), enclosure=bad)
+    # a linear term given its enclosure as a string is assembled as that kind
     kernel = ts.kernel_from_power(spec.basis, [[1.0]])
-    term = ts.LinearTermSpec("y", "volterra", 0, (1.0,), kernel, 0.0)
-    assert term.kind is Kind.VOLTERRA
+    term = ts.TermSpec((("y", 0),), (1.0,), "volterra", kernel, 0.0)
+    assert term.enclosure is Kind.VOLTERRA
     npt.assert_array_equal(
         ts.assemble(ts.ProblemSpec(spec.basis, ("y",), (ts.EquationSpec((term,)),), (),
                                    ts.SolveSettings(n=6))).matrix,
@@ -400,6 +416,26 @@ def test_derivatives_need_conditions():
     doc = _doc(conditions=[])
     with pytest.raises(ts.ValidationError, match="conditions"):
         ts.parse_problem(doc)
+
+
+@pytest.mark.parametrize("term, needs", [
+    ({"var": "y", "order": 1, "volterra": {"kernel": [[1.0]]}}, False),
+    ({"product": {"factors": [{"var": "y"}, {"var": "y", "deriv": 1}]},
+      "volterra": {"kernel": [[1.0]]}}, True),
+    ({"var": "y", "deriv": 1}, True),
+], ids=["enclosed-linear", "enclosed-product", "plain"])
+def test_which_derivatives_need_conditions(term, needs):
+    """A derivative needs conditions, except on the one unknown of a kernel term."""
+    doc = _doc(conditions=[])
+    doc["equations"][0]["terms"] = [{"var": "y"}, term]
+    doc["equations"][0]["rhs"] = 1.0
+    if needs:
+        with pytest.raises(ts.ValidationError, match="derivatives but no conditions"):
+            ts.parse_problem(doc)
+        return
+    # y + int_0^x y'(t) dt = 2 y(x) - y(0) = 1 holds for y = 1 only
+    sol = ts.solve(ts.parse_problem(doc))
+    npt.assert_allclose(sol["y"].coeffs, np.eye(len(sol["y"].coeffs))[0], atol=1e-13)
 
 
 def test_second_kind_needs_no_conditions():
@@ -438,13 +474,40 @@ def test_deriv_cap():
 
 
 def test_product_needs_two_factors():
-    with pytest.raises(ts.ValidationError, match="two factors"):
-        ts.ProductTermSpec(factors=(("y", 0),))
+    """A document product has two factors or more; a term has one, a product one weight."""
+    doc = _doc()
+    doc["equations"][0]["terms"][1] = {"product": {"factors": [{"var": "y"}]}}
+    with pytest.raises(ts.ValidationError,
+                       match=r"terms\[1\]\.product\.factors: a product needs at least two"):
+        ts.parse_problem(doc)
+    with pytest.raises(ts.ValidationError, match="at least one factor"):
+        ts.TermSpec(factors=())
+    with pytest.raises(ts.ValidationError, match="one weight"):
+        ts.TermSpec(factors=(("y", 0), ("y", 0)), coeff=(1.0, 2.0))
+    assert ts.TermSpec((("y", 0),), (1.0, 2.0)).coeff == (1.0, 2.0)
 
 
 def test_augment_requires_enclosure():
     with pytest.raises(ts.ValidationError, match="integrals"):
-        ts.ProductTermSpec(factors=(("y", 0), ("y", 0)), augment=True)
+        ts.TermSpec(factors=(("y", 0), ("y", 0)), augment=True)
+    kernel = ts.kernel_from_power(ts.BasisSpec(ts.CHEBYSHEV), [[1.0]])
+    with pytest.raises(ts.ValidationError, match="products inside integrals"):
+        ts.TermSpec((("y", 0),), enclosure="volterra", kernel=kernel, augment=True)
+    with pytest.raises(ts.ValidationError, match="needs a kernel"):
+        ts.TermSpec((("y", 0),), enclosure="fredholm")
+
+
+def test_factor_orders_are_signed():
+    """deriv: k is the order k, integral: k the order -k; a kernel term's order is as given."""
+    doc = _doc()
+    doc["equations"][0]["terms"] = [
+        {"var": "y", "deriv": 2}, {"var": "y", "integral": 2},
+        {"var": "y", "order": -1, "volterra": {"kernel": [[1.0]]}},
+        {"product": {"factors": [{"var": "y", "deriv": 1}, {"var": "y", "order": -3}]}}]
+    eq = ts.parse_problem(doc).equations[0]
+    assert [t.factors for t in eq.terms] == [
+        (("y", 2),), (("y", -2),), (("y", -1),), (("y", 1), ("y", -3))]
+    assert eq.linear == eq.terms[:3] and eq.products == eq.terms[3:]
 
 
 def _nonlinear_doc():
@@ -475,14 +538,15 @@ def test_augment_structure():
     # the product is gone from the first equation, replaced by a kernel term
     eq0 = aug.equations[0]
     assert not eq0.products
-    repl = eq0.linear[-1]
-    assert repl.var == "w" and repl.kind is Kind.FREDHOLM
-    assert repl.coeff == (-1.0,)
+    assert eq0.terms[:2] == spec.equations[0].terms[:2]
+    repl = eq0.terms[-1]
+    assert repl.factors == (("w", 0),) and repl.enclosure is Kind.FREDHOLM
+    assert repl.coeff == (-1.0,) and not repl.augment
     # the defining equation is w' minus the chain rule products
     eq1 = aug.equations[1]
-    assert eq1.linear[0].var == "w" and eq1.linear[0].order == 1
-    assert len(eq1.products) == 2
-    assert all(p.weight == -1.0 for p in eq1.products)
+    assert eq1.terms[0].factors == (("w", 1),) and eq1.terms[0].coeff == (1.0,)
+    assert len(eq1.terms) == 3 and len(eq1.products) == 2
+    assert all(p.coeff == (-1.0,) and p.enclosure is None for p in eq1.products)
     orders = sorted(tuple(o for _, o in p.factors) for p in eq1.products)
     assert orders == [(0, 1), (1, 0)]
     # the new condition pins w(0) = y(0)^2 = 4

@@ -354,10 +354,10 @@ def test_each_distinct_volterra_block_is_built_once_per_assembly(monkeypatch):
     def counting_assemble(spec, *args):
         before = len(built)
         system = original_assemble(spec, *args)
-        terms = [t for eq in spec.equations for t in eq.linear if t.kind is Kind.VOLTERRA]
-        cores = {(t.order, t.kernel.coeffs.shape, t.kernel.coeffs.tobytes(), t.lower)
+        terms = [t for eq in spec.equations for t in eq.terms if t.enclosure is Kind.VOLTERRA]
+        cores = {(t.factors[0][1], t.kernel.coeffs.shape, t.kernel.coeffs.tobytes(), t.lower)
                  for t in terms}
-        blocks = {(t.order, t.coeff, t.kernel.coeffs.tobytes(), t.lower) for t in terms}
+        blocks = {(t.factors[0][1], t.coeff, t.kernel.coeffs.tobytes(), t.lower) for t in terms}
         seen.append((len(built) - before, len(cores), len(blocks)))
         return system
 
@@ -603,8 +603,7 @@ def test_frozen_candidates_match_the_plain_sweep_byte_for_byte(monkeypatch, labe
 
     shared = run()
     monkeypatch.setattr(ts.solver, "linearize", references.linearize)
-    monkeypatch.setattr(ts.solver, "_apply_product_term_exact",
-                        references.apply_product_term_exact)
+    monkeypatch.setattr(ts.solver, "_apply_term_exact", references.apply_term_exact)
     monkeypatch.setattr(ts.solver, "assemble", references.assemble)
     plain = run()
     assert (len(shared.newton) == 1) if shared.spec.is_linear else (len(shared.newton) > 1)
