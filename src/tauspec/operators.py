@@ -220,8 +220,9 @@ class WorkingSize:
     multiplication matrix, resuming one walk of the recurrence.
     ``power(order)`` returns d^order/dx^order on the working interval,
     or the antiderivative applied -order times below zero, as the one-step
-    matrix times the power one order lower.  All are read-only.  A solve
-    makes one store for every operator it builds; a lone call makes its own.
+    matrix times the power one order lower.  All are read-only.  The
+    store is the one source of the basis and n for every operator built
+    from it; a solve makes one and keeps it for its assemblies.
     """
 
     def __init__(self, basis: BasisSpec, n: int):
@@ -249,39 +250,28 @@ class WorkingSize:
         return powers[order]
 
 
-def _store_at(basis: BasisSpec, n: int, store: WorkingSize | None) -> WorkingSize:
-    """The given store, checked against basis and n, or a new one."""
-    if store is None:
-        return WorkingSize(basis, n)
-    if store.basis != basis or store.n != n:
-        raise ValueError(
-            f"operator store is for {store.basis} at n={store.n}, "
-            f"not {basis} at n={n}")
-    return store
-
-
-def polynomial_multiplication_matrix(basis: BasisSpec, coeffs, n: int,
-                                     store: WorkingSize | None = None) -> np.ndarray:
+def polynomial_multiplication_matrix(store: WorkingSize, coeffs) -> np.ndarray:
     """Matrix of multiplication by a polynomial given in the shifted basis.
 
     ``coeffs`` are the coefficients of the multiplier on the working
     interval.  The matrix is the coefficient-weighted sum of basis
-    members evaluated at the multiplication matrix, truncated to the
-    working size.  ``store`` is a WorkingSize of this basis and n to read
-    them from.
+    members evaluated at the multiplication matrix, read from ``store``,
+    which fixes the basis and the working size.
     """
-    n = _check_size(n)
     p = np.atleast_1d(np.asarray(coeffs, dtype=float))
     if p.ndim != 1 or p.size == 0:
         raise ValueError("coefficient polynomial must be a nonempty 1-D array")
-    if p.size > n:
+    if p.size > store.n:
         raise ValueError(
-            f"coefficient polynomial has {p.size} coefficients, working size is {n}")
-    return _member_sum(p, _store_at(basis, n, store).members(p.size))
+            f"coefficient polynomial has {p.size} coefficients, working size is {store.n}")
+    return _member_sum(p, store.members(p.size))
 
 
-def _clipped_kernel(kernel: KernelPoly, n: int) -> np.ndarray:
-    k = kernel.coeffs
+def _clipped_kernel(store: WorkingSize, kernel: KernelPoly) -> np.ndarray:
+    """The kernel's coefficients cut to the store's working size, its basis checked."""
+    if kernel.basis != store.basis:
+        raise ValueError(f"kernel is in {kernel.basis}, operator store in {store.basis}")
+    k, n = kernel.coeffs, store.n
     if k.shape[0] > n or k.shape[1] > n:
         warnings.warn(
             f"kernel of shape {k.shape} truncated to working size {n}",
@@ -290,24 +280,22 @@ def _clipped_kernel(kernel: KernelPoly, n: int) -> np.ndarray:
     return k
 
 
-def volterra_operator(kernel: KernelPoly, lower: float, n: int,
-                      store: WorkingSize | None = None) -> np.ndarray:
+def volterra_operator(store: WorkingSize, kernel: KernelPoly, lower: float) -> np.ndarray:
     """Operator of y -> integral from ``lower`` to x of K(x, t) y(t) dt.
 
     Assembled per kernel column: the t dependence acts through basis
     members evaluated at the multiplication matrix, the antiderivative
     supplies the integral, and a rank-one correction subtracts the value
     at the lower limit so the image vanishes there.  The x-side and
-    t-side members are read from ``store``, a WorkingSize of this basis
-    and n, or from a new one.
+    t-side members are read from ``store``, the WorkingSize of the
+    kernel's basis.
     """
-    basis = kernel.basis
-    n = _check_size(n)
-    k = _clipped_kernel(kernel, n)
+    k = _clipped_kernel(store, kernel)
+    basis, n = store.basis, store.n
     nx, nt = k.shape
     os = integration_matrix(basis, n) / basis.c1
     row_lo = basis_row(basis, lower, n)
-    pm = _store_at(basis, n, store).members(max(nx, nt))
+    pm = store.members(max(nx, nt))
     acc = np.zeros((n, n))
     for j, pj in enumerate(pm[:nt]):
         col = np.zeros(n)
@@ -319,23 +307,21 @@ def volterra_operator(kernel: KernelPoly, lower: float, n: int,
     return acc
 
 
-def fredholm_operator(kernel: KernelPoly, n: int,
-                      store: WorkingSize | None = None) -> np.ndarray:
+def fredholm_operator(store: WorkingSize, kernel: KernelPoly) -> np.ndarray:
     """Operator of y -> integral over the whole interval of K(x, t) y(t) dt.
 
     The result of the integral is a polynomial in x of the kernel's x
     degree, so rows beyond that degree are exactly zero.  The t-side
     members are read from ``store`` as in ``volterra_operator``.
     """
-    basis = kernel.basis
-    n = _check_size(n)
-    k = _clipped_kernel(kernel, n)
+    k = _clipped_kernel(store, kernel)
+    basis, n = store.basis, store.n
     nx, nt = k.shape
     a_dom, b_dom = basis.domain
     os = integration_matrix(basis, n) / basis.c1
     r = (basis_row(basis, b_dom, n) - basis_row(basis, a_dom, n)) @ os
     acc = np.zeros((n, n))
-    for j, pj in enumerate(_store_at(basis, n, store).members(nt)):
+    for j, pj in enumerate(store.members(nt)):
         v = r @ pj
         acc[:nx] += np.outer(k[:, j], v)
     return acc

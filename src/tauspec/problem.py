@@ -50,6 +50,10 @@ __all__ = [
 log = logging.getLogger("tauspec")
 
 DERIV_CAP = 8
+# Largest working size.  A solve's member store can hold n matrices of
+# n x n, about 1 GB at n = 513, so a far larger n would fail inside numpy
+# with no location; the cap rejects it before anything of size n is made.
+N_CAP = 1024
 # Largest finite float; a bigger int or a NaN fails ``abs(x) <= FLOAT_MAX``.
 FLOAT_MAX = float(np.finfo(float).max)
 
@@ -188,15 +192,18 @@ def _rhs_degree(rhs) -> int:
 
 
 def check_working_size(spec: ProblemSpec) -> None:
-    """Enforce n >= conditions + max rhs degree for a user-level problem.
+    """Enforce 1 <= n <= N_CAP and n >= conditions + max rhs degree for a user-level problem.
 
-    Applied on parse and again after augmentation, but not to the
-    linearized systems Newton builds internally, whose right-hand sides
-    carry corrections of degree up to n - 1 by construction.
+    Applied on parse and again after augmentation, before anything of
+    size n is made, but not to the linearized systems Newton builds
+    internally, whose right-hand sides carry corrections of degree up to
+    n - 1 by construction.
     """
+    n = spec.settings.n
+    if not 1 <= n <= N_CAP:
+        raise ValidationError(f"n must be positive and at most {N_CAP}, got {n}", "solve.n")
     nu = len(spec.conditions)
     lam = max((_rhs_degree(eq.rhs) for eq in spec.equations), default=0)
-    n = spec.settings.n
     if n < nu + lam:
         raise ValidationError(
             f"n={n} is too small: the method needs n >= conditions + max rhs "
@@ -212,12 +219,13 @@ def _validate_spec(spec: ProblemSpec) -> None:
             f"system must be square: {len(names)} variables, "
             f"{len(spec.equations)} equations")
     cap = DERIV_CAP
-    # derivatives need conditions, except on the one unknown of a kernel term
+    # derivatives need conditions, except inside an integral, where the
+    # equation itself fixes the unknown's value
     has_deriv = False
     for e, eq in enumerate(spec.equations):
         for t, term in enumerate(eq.terms):
             where = f"equations[{e}].terms[{t}]"
-            counts = term.enclosure is None or len(term.factors) > 1
+            counts = term.enclosure is None
             for v, o in term.factors:
                 if v not in names:
                     raise ValidationError(f"unknown variable {v!r}", where)
@@ -411,12 +419,16 @@ def _parse_term(node, basis: BasisSpec, where: str) -> TermSpec:
         factors = tuple(_parse_factor(f, f"{fw}[{i}]") for i, f in enumerate(fnodes))
         coeff = (_doc_float(pnode, "weight", pw, 1.0),)
         kind = _one_of(node, where, _KERNEL_KINDS)
+        augment = _doc_bool(node, "augment", where)
+        for key in ("augment_name", "augment_initial"):
+            if node.get(key) is not None and not augment:
+                raise ValidationError("applies only with 'augment': true", _at(where, key))
         init = node.get("augment_initial")
         if init is not None:
             iw = f"{where}.augment_initial"
             init = _object(init, iw, ("point", "value"))
             init = (_doc_float(init, "point", iw), _doc_float(init, "value", iw))
-        extra = dict(augment=_doc_bool(node, "augment", where), augment_initial=init,
+        extra = dict(augment=augment, augment_initial=init,
                      augment_name=_doc_text(node, "augment_name", where, required=False))
     else:
         node = _object(node, where, ("var", "coeff", "deriv", "integral", "order") + _KERNEL_KINDS)
@@ -458,8 +470,6 @@ def _parse_settings(node, where: str, overrides: Mapping) -> SolveSettings:
         _object(node, where, ("n", "newton_tol", "max_iter", "initial", "damping")))
     node.update({k: v for k, v in overrides.items() if v is not None})
     n = _doc_int(node, "n", where, None)
-    if n < 1:
-        raise ValidationError(f"n must be positive, got {n}", where)
     tol = _doc_float(node, "newton_tol", where, 1e-14)
     if not tol > 0:
         raise ValidationError("newton_tol must be positive", where)
@@ -755,17 +765,17 @@ def _single_var_conditions(spec: ProblemSpec, var: str) -> list[ConditionSpec]:
     return out
 
 
-def initial_iterate(spec: ProblemSpec, policy=None) -> dict:
-    """Starting iterate for Newton's method.
+def initial_iterate(spec: ProblemSpec) -> dict:
+    """Starting iterate for Newton's method, by the policy ``spec.settings.initial``.
 
     'conditions' (the default) gives each unknown the lowest degree
     polynomial meeting that unknown's own point conditions, falling back
-    to least squares with a warning when they conflict.  'zero' gives
-    zero polynomials.  Explicit coefficient rows are used as given, one
-    row per unknown in order.
+    to least squares with a warning when they conflict; an unknown with
+    no condition of its own starts at zero.  'zero' gives zero
+    polynomials.  Explicit coefficient rows are used as given, one row
+    per unknown in solve order, auxiliary unknowns of augmentation last.
     """
-    if policy is None:
-        policy = spec.settings.initial
+    policy = spec.settings.initial
     basis = spec.basis
     if not isinstance(policy, str):
         rows = list(policy)
@@ -773,8 +783,8 @@ def initial_iterate(spec: ProblemSpec, policy=None) -> dict:
             rows = [rows]
         if len(rows) != len(spec.variables):
             raise ValidationError(
-                f"initial coefficients: expected {len(spec.variables)} rows, "
-                f"got {len(rows)}")
+                f"expected {len(spec.variables)} rows, one per unknown in solve order "
+                f"({', '.join(spec.variables)}), got {len(rows)}", "solve.initial")
         return {v: Series(basis, np.atleast_1d(np.asarray(row, dtype=float)))
                 for v, row in zip(spec.variables, rows)}
     if policy == "zero":

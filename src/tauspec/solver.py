@@ -74,9 +74,6 @@ class TauSystem:
     ``col_of`` maps each variable to its column slice.
     """
 
-    basis: object
-    variables: tuple
-    n: int
     matrix: np.ndarray
     rhs: np.ndarray
     row_map: list
@@ -123,15 +120,15 @@ def _attribution(spec: ProblemSpec) -> list[int]:
     return out
 
 
-def _term_core(term, n: int, store: ops.WorkingSize) -> np.ndarray:
+def _term_core(term, store: ops.WorkingSize) -> np.ndarray:
     """A linear term's operator before its coefficient: a calculus power or a kernel's integral."""
     (_, order), = term.factors
     if term.enclosure is None:
         return store.power(order)
     if term.enclosure is Kind.VOLTERRA:
-        core = ops.volterra_operator(term.kernel, term.lower, n, store)
+        core = ops.volterra_operator(store, term.kernel, term.lower)
     else:
-        core = ops.fredholm_operator(term.kernel, n, store)
+        core = ops.fredholm_operator(store, term.kernel)
     if order:
         core = core @ store.power(order)
     return core
@@ -146,23 +143,26 @@ def _term_key(term) -> tuple:
             np.array(term.coeff).tobytes())
 
 
-def assemble(spec: ProblemSpec, n: int | None = None,
-             store: ops.WorkingSize | None = None) -> TauSystem:
+def assemble(spec: ProblemSpec, store: ops.WorkingSize | None = None) -> TauSystem:
     """Build the square system for a linearized (or linear) spec.
 
     Rows are stacked as all condition rows first, in document order,
     then for each equation its first n - (conditions charged to it)
     coefficient rows.  Terms that differ only in their variable share one
     matrix, built once per call and added once per occurrence; terms that
-    differ only in their coefficient share one core.  Every operator is
-    read from ``store``, the WorkingSize of the basis at n, or a new one.
+    differ only in their coefficient share one core.  n is the spec's
+    working size.  Every operator is read from ``store``, which must be
+    the WorkingSize of the spec's basis at n, or from a new one.
     """
     if not spec.is_linear:
         raise ValidationError(
             "spec still contains product terms; linearize it before assembly")
-    if n is None:
-        n = spec.settings.n
-    basis = spec.basis
+    basis, n = spec.basis, spec.settings.n
+    if store is None:
+        store = ops.WorkingSize(basis, n)
+    elif (store.basis, store.n) != (basis, n):
+        raise ValueError(
+            f"operator store is for {store.basis} at n={store.n}, not {basis} at n={n}")
     m = len(spec.variables)
     col_of = {v: slice(i * n, (i + 1) * n) for i, v in enumerate(spec.variables)}
     charged = _attribution(spec)
@@ -171,7 +171,6 @@ def assemble(spec: ProblemSpec, n: int | None = None,
         if nu > n:
             raise ValidationError(
                 f"equation {e} is charged {nu} conditions but only has {n} rows")
-    store = ops._store_at(basis, n, store)
     size = m * n
     a = np.zeros((size, size))
     b = np.zeros(size)
@@ -193,12 +192,11 @@ def assemble(spec: ProblemSpec, n: int | None = None,
             key = _term_key(term)
             if key not in matrices:
                 if key[:-1] not in cores:
-                    cores[key[:-1]] = _term_core(term, n, store)
+                    cores[key[:-1]] = _term_core(term, store)
                 matrices[key] = cores[key[:-1]]
                 if tuple(term.coeff) != (1.0,):
                     try:
-                        outer = ops.polynomial_multiplication_matrix(
-                            basis, term.coeff, n, store)
+                        outer = ops.polynomial_multiplication_matrix(store, term.coeff)
                     except ValueError as exc:
                         raise ValidationError(
                             f"{exc}; increase n to fit the coefficient polynomial",
@@ -215,20 +213,17 @@ def assemble(spec: ProblemSpec, n: int | None = None,
         b[r : r + keep] = rhs
         row_map.extend(("equation", e, k) for k in range(keep))
         r += keep
-    return TauSystem(basis, spec.variables, n, a, b, row_map, col_of)
+    return TauSystem(a, b, row_map, col_of)
 
 
 def solve_linear(system: TauSystem) -> tuple[np.ndarray, dict]:
     """LU solve with partial pivoting, a pivot-based singularity check, and a finite result."""
     a, b = system.matrix, system.rhs
     scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    try:
-        with warnings.catch_warnings():
-            # the pivot check below reports exact singularity itself
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"factorization failed: {exc}") from None
+    with warnings.catch_warnings():
+        # the pivot check below reports exact singularity itself
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
     pivots = np.abs(np.diag(lu))
     threshold = PIVOT_FLOOR * np.finfo(float).eps * scale
     worst = int(np.argmin(pivots)) if pivots.size else 0
@@ -351,7 +346,7 @@ def _candidate(spec: ProblemSpec, lin: ProblemSpec, store: ops.WorkingSize):
     their largest coefficient, and the diagnostics of the linear solve.
     """
     n = spec.settings.n
-    vec, diagnostics = solve_linear(assemble(lin, n, store))
+    vec, diagnostics = solve_linear(assemble(lin, store))
     candidate = FrozenIterate(
         (v, Series(spec.basis, vec[i * n : (i + 1) * n]))
         for i, v in enumerate(spec.variables))

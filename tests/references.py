@@ -157,7 +157,7 @@ def per_column_volterra_operator(kernel, lower, n):
         col[:nx] = k[:, j]
         if not col.any():
             continue
-        b = ts.polynomial_multiplication_matrix(basis, k[:, j], n)
+        b = ts.polynomial_multiplication_matrix(ts.WorkingSize(basis, n), k[:, j])
         b = b - np.outer(col, row_lo)
         acc += b @ os @ pj
     return acc
@@ -239,7 +239,7 @@ def calculus_powers(basis, n):
 def _one_term_matrix(term, basis, n, power, where):
     """One term's matrix, every operator walking its own member matrices."""
     try:
-        outer = ts.polynomial_multiplication_matrix(basis, term.coeff, n)
+        outer = ts.polynomial_multiplication_matrix(ts.WorkingSize(basis, n), term.coeff)
     except ValueError as exc:
         raise ts.ValidationError(
             f"{exc}; increase n to fit the coefficient polynomial", where) from None
@@ -248,9 +248,9 @@ def _one_term_matrix(term, basis, n, power, where):
         core = power(order)
     else:
         if term.enclosure is ts.Kind.VOLTERRA:
-            core = ts.volterra_operator(term.kernel, term.lower, n)
+            core = ts.volterra_operator(ts.WorkingSize(basis, n), term.kernel, term.lower)
         else:
-            core = ts.fredholm_operator(term.kernel, n)
+            core = ts.fredholm_operator(ts.WorkingSize(basis, n), term.kernel)
         if order:
             core = core @ power(order)
     if len(term.coeff) == 1 and term.coeff[0] == 1.0:
@@ -258,7 +258,7 @@ def _one_term_matrix(term, basis, n, power, where):
     return outer @ core
 
 
-def assemble(spec, n=None, store=None):
+def assemble(spec, store=None):
     """Assembly that builds one matrix per term occurrence.
 
     ``store`` is accepted and ignored: every call makes its own powers by
@@ -266,9 +266,7 @@ def assemble(spec, n=None, store=None):
     each call did before a solve shared one store.
     """
     solver = ts.solver
-    if n is None:
-        n = spec.settings.n
-    basis = spec.basis
+    basis, n = spec.basis, spec.settings.n
     m = len(spec.variables)
     col_of = {v: slice(i * n, (i + 1) * n) for i, v in enumerate(spec.variables)}
     charged = solver._attribution(spec)
@@ -304,4 +302,4 @@ def assemble(spec, n=None, store=None):
         b[r : r + keep] = rhs
         row_map.extend(("equation", e, k) for k in range(keep))
         r += keep
-    return solver.TauSystem(basis, spec.variables, n, a, b, row_map, col_of)
+    return solver.TauSystem(a, b, row_map, col_of)

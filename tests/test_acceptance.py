@@ -182,7 +182,7 @@ def test_criterion_6_structural_identities():
         w1 = max(w1, np.max(np.abs((d @ o)[: n - 1, : n - 1] - np.eye(n - 1))))
     basis = ts.BasisSpec(ts.CHEBYSHEV, (0.0, 1.0))
     kernel = ts.kernel_from_power(basis, [[1.0, 0.5], [0.25, 0.0]])
-    op = ts.volterra_operator(kernel, 0.0, 12)
+    op = ts.volterra_operator(ts.WorkingSize(basis, 12), kernel, 0.0)
     rng = np.random.default_rng(9)
     w2 = 0.0
     for _ in range(5):

@@ -262,8 +262,12 @@ def test_non_boolean_flags_exit_one_with_their_location(tmp_path, capsys, mutate
         rhs={"basis": "power", "coeffs": [1.7e308, 1.7e308]}), "equations[0].rhs"),
     ("example1", lambda doc: doc["equations"][0]["terms"][2]["fredholm"].update(
         kernel=[[1e308, 1e308], [1e308, 1e308]]), "equations[0].terms[2].fredholm.kernel"),
+    ("example1", lambda doc: doc["solve"].update(n=10 ** 400), "solve.n"),
+    ("example1", lambda doc: doc["solve"].update(n=ts.problem.N_CAP + 1), "solve.n"),
+    # one row for y alone, but the solve also has example1's auxiliary unknown y2
+    ("example1", lambda doc: doc["solve"].update(initial=[[1.0]]), "solve.initial"),
 ], ids=["terms", "solve", "conditions", "factors", "domain-huge-int", "negative-deriv",
-        "rhs-overflow", "kernel-overflow"])
+        "rhs-overflow", "kernel-overflow", "n-huge-int", "n-over-cap", "initial-rows"])
 def test_malformed_shapes_exit_one_with_their_location(tmp_path, capsys, name, mutate, location):
     doc = json.loads((resources.files("tauspec") / "problems" / f"{name}.json").read_text())
     mutate(doc)

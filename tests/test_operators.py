@@ -98,7 +98,7 @@ def test_polynomial_multiplication_action(family):
     for _ in range(10):
         p = rng.standard_normal(rng.integers(1, 6))
         a = rng.standard_normal(rng.integers(1, n + 1))
-        op = ts.polynomial_multiplication_matrix(basis, p, n)
+        op = ts.polynomial_multiplication_matrix(ts.WorkingSize(basis, n), p)
         av = np.zeros(n)
         av[: a.size] = a
         got = op @ av
@@ -111,7 +111,7 @@ def test_polynomial_multiplication_action(family):
 def test_polynomial_multiplication_rejects_long_coeff():
     basis = ts.BasisSpec(ts.CHEBYSHEV, (0.0, 1.0))
     with pytest.raises(ValueError):
-        ts.polynomial_multiplication_matrix(basis, np.ones(7), 6)
+        ts.polynomial_multiplication_matrix(ts.WorkingSize(basis, 6), np.ones(7))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -153,7 +153,7 @@ def test_differential_operator_composition():
     n = 12
     d = basis.c1 * ts.differentiation_matrix(basis, n)
     p1 = ts.from_power_series(basis, [0.0, 1.0])
-    want = ts.polynomial_multiplication_matrix(basis, p1, n) @ (d @ d) \
+    want = ts.polynomial_multiplication_matrix(ts.WorkingSize(basis, n), p1) @ (d @ d) \
         + 2.0 * d + 3.0 * np.eye(n)
     terms = [ts.TermSpec((("y", 2),), tuple(p1)),
              ts.TermSpec((("y", 1),), (2.0,)),
@@ -245,7 +245,7 @@ def test_volterra_operator_exact_on_low_degree(family):
     basis = ts.BasisSpec(family, (0.0, 1.0))
     n = 14
     kernel = ts.kernel_from_power(basis, [[0.0, -1.0], [1.0, 0.0]])  # x - t
-    op = ts.volterra_operator(kernel, 0.0, n)
+    op = ts.volterra_operator(ts.WorkingSize(basis, n), kernel, 0.0)
     y = _poly_series(basis, [1.0, -2.0, 0.0, 0.5])
     av = np.zeros(n)
     av[: len(y)] = y.coeffs
@@ -267,7 +267,7 @@ def test_volterra_operator_bytes_match_per_column_build(family):
         if nt > 2:
             k[0, 1] = 0.0
         kernel = ts.KernelPoly(basis, k)
-        got = ts.volterra_operator(kernel, 0.25, n)
+        got = ts.volterra_operator(ts.WorkingSize(basis, n), kernel, 0.25)
         want = references.per_column_volterra_operator(kernel, 0.25, n)
         assert got.tobytes() == want.tobytes()
 
@@ -281,14 +281,14 @@ def test_a_shared_member_store_changes_no_bit(family):
     kernels = [ts.KernelPoly(basis, rng.standard_normal(shape))
                for shape in ((2, 5), (9, 1), (4, 4), (3, 12), (1, 2))]
     builds = [
-        *(lambda m, c=c: ts.polynomial_multiplication_matrix(basis, c, n, m)
+        *(lambda m, c=c: ts.polynomial_multiplication_matrix(m, c)
           for c in (rng.standard_normal(3), rng.standard_normal(n), [2.0])),
-        *(lambda m, k=k: ts.volterra_operator(k, 0.25, n, m) for k in kernels[:3]),
-        *(lambda m, k=k: ts.fredholm_operator(k, n, m) for k in kernels[3:]),
+        *(lambda m, k=k: ts.volterra_operator(m, k, 0.25) for k in kernels[:3]),
+        *(lambda m, k=k: ts.fredholm_operator(m, k) for k in kernels[3:]),
     ]
     store = ts.WorkingSize(basis, n)
     for build in builds:
-        assert build(store).tobytes() == build(None).tobytes()
+        assert build(store).tobytes() == build(ts.WorkingSize(basis, n)).tobytes()
     members = store.members(n)
     assert [m.tobytes() for m in members] == [
         m.tobytes() for m in references.basis_member_matrices(basis, n, n)]
@@ -314,12 +314,16 @@ def test_member_store_is_checked_against_basis_and_size():
     store = ts.WorkingSize(basis, 8)
     with pytest.raises(ValueError, match="9 members asked for at working size 8"):
         store.members(9)
-    with pytest.raises(ValueError, match="operator store is for"):
-        ts.polynomial_multiplication_matrix(basis, [1.0, 2.0], 9, store)
+    spec = ts.ProblemSpec(basis, ("y",), (ts.EquationSpec((ts.TermSpec((("y", 0),)),)),), (),
+                          ts.SolveSettings(n=9))
+    with pytest.raises(ValueError, match="operator store is for .* at n=8, not .* at n=9"):
+        ts.assemble(spec, store)
     other = ts.BasisSpec(ts.LEGENDRE, (0.0, 1.0))
     kernel = ts.KernelPoly(other, [[1.0, 0.5]])
-    with pytest.raises(ValueError, match="operator store is for"):
-        ts.fredholm_operator(kernel, 8, store)
+    with pytest.raises(ValueError, match="kernel is in .*LegendreP.*, operator store in"):
+        ts.fredholm_operator(store, kernel)
+    with pytest.raises(ValueError, match="kernel is in"):
+        ts.volterra_operator(store, kernel, 0.0)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -328,7 +332,7 @@ def test_volterra_value_vanishes_at_lower_limit(family):
     n = 12
     kernel = ts.kernel_from_power(basis, [[1.0, 0.5], [0.25, 0.0]])
     rng = np.random.default_rng(17)
-    op = ts.volterra_operator(kernel, 0.0, n)
+    op = ts.volterra_operator(ts.WorkingSize(basis, n), kernel, 0.0)
     for _ in range(5):
         a = np.zeros(n)
         a[:6] = rng.standard_normal(6)
@@ -351,7 +355,7 @@ def test_fredholm_operator_exact_on_low_degree(family):
     basis = ts.BasisSpec(family, (0.0, 1.0))
     n = 10
     kernel = ts.kernel_from_power(basis, [[0.0, 0.0], [0.0, 1.0]])  # x t
-    op = ts.fredholm_operator(kernel, n)
+    op = ts.fredholm_operator(ts.WorkingSize(basis, n), kernel)
     # output is a polynomial of the kernel's x degree: rows beyond it vanish
     assert np.max(np.abs(op[2:, :])) == 0.0
     y = _poly_series(basis, [1.0, -1.0, 1.0])
@@ -378,7 +382,7 @@ def test_kernel_truncation_warning():
     basis = ts.BasisSpec(ts.CHEBYSHEV, (0.0, 1.0))
     kernel = ts.kernel_from_power(basis, np.eye(6))
     with pytest.warns(ts.TruncationWarning):
-        ts.volterra_operator(kernel, 0.0, 4)
+        ts.volterra_operator(ts.WorkingSize(basis, 4), kernel, 0.0)
 
 
 def test_working_size_validation():

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -86,6 +87,12 @@ def test_parse_power_rhs_conversion():
      r"equations\[0\]\.terms\[0\]\.deriv: derivative order must be nonnegative, got -1"),
     (_set(["equations", 0, "terms", 1], {"var": "y", "integral": 0}),
      r"equations\[0\]\.terms\[1\]\.integral: integral order must be at least 1, got 0"),
+    (_set(["variables"], ["y", "y"]), "variable names must be unique"),
+    (_set(["conditions", 0, "terms", 0, "deriv"], -1),
+     r"conditions\[0\]: condition order -1 out of range"),
+    (_set(["conditions", 0, "terms", 0, "deriv"], 9),
+     r"conditions\[0\]: condition order 9 out of range"),
+    (_set(["conditions", 0, "attach_to"], "z"), r"conditions\[0\]: unknown variable 'z'"),
 ])
 def test_parse_missing_pieces(mutate, needle):
     doc = _doc()
@@ -210,11 +217,16 @@ def test_flags_take_json_booleans():
     for flag in (True, False):
         doc = _augmented_doc()
         doc["solve"]["damping"] = flag
-        doc["equations"][0]["terms"][1]["augment"] = flag
-        doc["equations"][0]["terms"][1]["augment_name"] = "w"
+        term = doc["equations"][0]["terms"][1]
+        term["augment"] = flag
+        if flag:
+            term["augment_name"] = "w"
+        else:
+            del term["augment_initial"]
         spec = ts.parse_problem(doc)
         term = spec.equations[0].products[0]
-        assert (spec.settings.damping, term.augment, term.augment_name) == (flag, flag, "w")
+        name = "w" if flag else None
+        assert (spec.settings.damping, term.augment, term.augment_name) == (flag, flag, name)
     assert ts.parse_problem(_augmented_doc()).settings.damping is False
 
 
@@ -240,7 +252,7 @@ WRONG_VALUES = (None, True, 7, 1.5, "x", [], {}, [[1.0]], [1.0, "x"], 10 ** 400)
 
 def test_no_document_escapes_as_a_non_validation_error():
     """Every node of every built-in, replaced by each wrong value in turn."""
-    documents, escaped = 0, []
+    documents, escaped, parsed_n = 0, [], []
     for name in ("example1", "example2", "exp-ode", "volterra-exp"):
         base = _builtin(name)
         for path in _paths(base):
@@ -250,12 +262,16 @@ def test_no_document_escapes_as_a_non_validation_error():
                 documents += 1
                 try:
                     ts.parse_problem(doc)
+                    if path == ("solve", "n"):
+                        parsed_n.append(value)
                 except (ts.ValidationError, ts.ConfigurationError):
                     pass
                 except Exception as exc:  # every other escape is reported below
                     escaped.append((name, path, value, type(exc).__name__))
     assert documents == 2060
     assert escaped == []
+    # only integral values parse as n, and 10 ** 400 is above the cap
+    assert set(parsed_n) == {7}
 
 
 @pytest.mark.parametrize("mutate, location, problem", [
@@ -361,9 +377,15 @@ _KERNEL = {"kernel": [[1.0]]}
      r"\.product\.factors\[0\]", "give at most one of 'order' and 'deriv'"),
     ({"var": "y", "order": 1}, "", "'order' belongs only to volterra and fredholm terms"),
     ({"var": "y", "deriv": 1, "order": 1}, "", "'order' belongs only to volterra"),
+    ({"product": _PAIR, "volterra": _KERNEL, "augment_name": "w"}, r"\.augment_name",
+     "applies only with 'augment': true"),
+    ({"product": _PAIR, "volterra": _KERNEL, "augment": False,
+      "augment_initial": {"point": 0.0, "value": 1.0}}, r"\.augment_initial",
+     "applies only with 'augment': true"),
 ], ids=["deriv-integral", "integral-volterra", "volterra-fredholm", "product-two-kernels",
         "product-var", "product-coeff", "product-deriv", "product-integral", "product-order",
-        "factor-order-deriv", "order-alone", "order-with-deriv"])
+        "factor-order-deriv", "order-alone", "order-with-deriv", "augment_name-alone",
+        "augment_initial-augment-false"])
 def test_conflicting_keys_are_rejected_at_their_term(term, where, problem):
     doc = _doc()
     doc["equations"][0]["terms"][1] = term
@@ -403,7 +425,7 @@ def test_integral_kind_has_one_spelling():
     npt.assert_array_equal(
         ts.assemble(ts.ProblemSpec(spec.basis, ("y",), (ts.EquationSpec((term,)),), (),
                                    ts.SolveSettings(n=6))).matrix,
-        ts.volterra_operator(kernel, 0.0, 6))
+        ts.volterra_operator(ts.WorkingSize(spec.basis, 6), kernel, 0.0))
 
 
 def test_system_must_be_square():
@@ -421,11 +443,12 @@ def test_derivatives_need_conditions():
 @pytest.mark.parametrize("term, needs", [
     ({"var": "y", "order": 1, "volterra": {"kernel": [[1.0]]}}, False),
     ({"product": {"factors": [{"var": "y"}, {"var": "y", "deriv": 1}]},
-      "volterra": {"kernel": [[1.0]]}}, True),
+      "volterra": {"kernel": [[1.0]]}}, False),
     ({"var": "y", "deriv": 1}, True),
-], ids=["enclosed-linear", "enclosed-product", "plain"])
+    ({"product": {"factors": [{"var": "y"}, {"var": "y", "deriv": 1}]}}, True),
+], ids=["enclosed-linear", "enclosed-product", "plain", "plain-product"])
 def test_which_derivatives_need_conditions(term, needs):
-    """A derivative needs conditions, except on the one unknown of a kernel term."""
+    """A derivative needs conditions, except inside an integral."""
     doc = _doc(conditions=[])
     doc["equations"][0]["terms"] = [{"var": "y"}, term]
     doc["equations"][0]["rhs"] = 1.0
@@ -433,9 +456,12 @@ def test_which_derivatives_need_conditions(term, needs):
         with pytest.raises(ts.ValidationError, match="derivatives but no conditions"):
             ts.parse_problem(doc)
         return
-    # y + int_0^x y'(t) dt = 2 y(x) - y(0) = 1 holds for y = 1 only
-    sol = ts.solve(ts.parse_problem(doc))
-    npt.assert_allclose(sol["y"].coeffs, np.eye(len(sol["y"].coeffs))[0], atol=1e-13)
+    # y + int_0^x y'(t) dt = 2 y(x) - y(0) = 1 and
+    # y + int_0^x y(t) y'(t) dt = y(x) + (y(x)^2 - y(0)^2) / 2 = 1 hold for y = 1 only
+    for initial in ("conditions", "zero"):
+        sol = ts.solve(ts.parse_problem(doc, initial=initial))
+        assert sol.converged and max(sol.residual.equation_max) < 1e-13
+        npt.assert_allclose(sol["y"].coeffs, np.eye(len(sol["y"].coeffs))[0], atol=1e-13)
 
 
 def test_second_kind_needs_no_conditions():
@@ -464,6 +490,20 @@ def test_lower_limit_must_be_inside_domain():
         {"var": "y", "volterra": {"kernel": [[1.0]], "lower": 2.0}})
     with pytest.raises(ts.ValidationError, match="outside"):
         ts.parse_problem(doc)
+
+
+def test_working_size_cap():
+    """n up to N_CAP parses; a larger n is rejected at parse and by solve, before any allocation."""
+    cap = ts.problem.N_CAP
+    assert ts.parse_problem(_doc(solve={"n": cap})).settings.n == cap
+    problem = rf"solve\.n: n must be positive and at most {cap}, got "
+    for n in (cap + 1, 10 ** 400):
+        with pytest.raises(ts.ValidationError, match=problem + str(n)):
+            ts.parse_problem(_doc(solve={"n": n}))
+    # a spec built in code reaches solve without the parse
+    spec = ts.parse_problem(_doc())
+    with pytest.raises(ts.ValidationError, match=problem + str(cap + 1)):
+        ts.solve(replace(spec, settings=replace(spec.settings, n=cap + 1)))
 
 
 def test_deriv_cap():
@@ -572,6 +612,17 @@ def test_augment_explicit_initial_value():
     assert aug.conditions[-1].value == 9.0
 
 
+def test_auxiliary_start_skips_multi_term_and_zero_weight_conditions():
+    """Only a single-term condition of nonzero weight gives a point value."""
+    doc = _nonlinear_doc()
+    doc["conditions"] += [
+        {"terms": [{"var": "y", "point": 0.0, "weight": 0.0}], "value": 5.0},
+        {"terms": [{"var": "y", "point": 0.0}, {"var": "y", "point": 1.0}], "value": 7.0}]
+    aug = ts.augment_variables(ts.parse_problem(doc))
+    # w(0) = y(0)^2 from the condition y(0) = 2 alone
+    assert aug.conditions[-1].terms[0].point == 0.0 and aug.conditions[-1].value == 4.0
+
+
 def test_augment_name_collision():
     doc = _nonlinear_doc()
     doc["equations"][0]["terms"][2]["augment_name"] = "y"
@@ -668,19 +719,41 @@ def test_initial_iterate_policies():
     ds = ts.series_derivative(s)
     assert abs(ds(0.0) - 2.0) < 1e-12
 
-    zero = ts.initial_iterate(spec, policy="zero")
+    zero = ts.initial_iterate(ts.parse_problem(doc, initial="zero"))
     assert np.all(zero["y"].coeffs == 0.0)
 
-    given = ts.initial_iterate(spec, policy=[[5.0, 1.0]])
+    given = ts.initial_iterate(ts.parse_problem(doc, initial=[[5.0, 1.0]]))
     npt.assert_allclose(given["y"].coeffs, [5.0, 1.0])
-    flat = ts.initial_iterate(spec, policy=[5.0, 1.0])
+    flat = ts.initial_iterate(ts.parse_problem(doc, initial=[5.0, 1.0]))
     npt.assert_allclose(flat["y"].coeffs, [5.0, 1.0])
+
+    # an unknown with no condition of its own starts at zero
+    coupled = _doc(variables=["y", "z"], conditions=[
+        {"terms": [{"var": "y", "point": 0.0}, {"var": "z", "point": 0.0}], "value": 1.0}])
+    coupled["equations"] = [{"terms": [{"var": "y", "deriv": 1}, {"var": "z"}]},
+                            {"terms": [{"var": "z"}, {"var": "y"}]}]
+    start = ts.initial_iterate(ts.parse_problem(coupled))
+    assert {v: s.coeffs.tolist() for v, s in start.items()} == {"y": [0.0], "z": [0.0]}
+
+    # conflicting conditions fall back to least squares
+    conflict = ts.parse_problem(_doc(conditions=[
+        {"terms": [{"var": "y", "point": 0.0}], "value": 1.0},
+        {"terms": [{"var": "y", "point": 0.0}], "value": 3.0}]))
+    with pytest.warns(UserWarning, match="conditions for 'y' conflict; least-squares"):
+        start = ts.initial_iterate(conflict)
+    assert abs(start["y"](0.0) - 2.0) < 1e-12
 
 
 def test_initial_iterate_wrong_row_count():
-    spec = ts.parse_problem(_doc())
-    with pytest.raises(ts.ValidationError, match="expected 1"):
-        ts.initial_iterate(spec, policy=[[1.0], [2.0]])
+    spec = ts.parse_problem(_doc(), initial=[[1.0], [2.0]])
+    with pytest.raises(ts.ValidationError,
+                       match=r"solve\.initial: expected 1 rows, one per unknown in solve order \(y\)"):
+        ts.initial_iterate(spec)
+    # the rows also cover the auxiliary unknowns that augmentation appends
+    spec = ts.parse_problem(_builtin("example1"), initial=[[1.0]])
+    with pytest.raises(ts.ValidationError,
+                       match=r"solve\.initial: expected 2 rows, .* order \(y, y2\), got 1"):
+        ts.solve(spec)
 
 
 def test_settings_validation():

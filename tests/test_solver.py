@@ -469,9 +469,9 @@ def test_unit_coefficients_build_no_multiplication_matrix(monkeypatch, name):
     coeffs = []
     original = ts.operators.polynomial_multiplication_matrix
 
-    def recording(basis, c, n, *rest):
+    def recording(store, c):
         coeffs.append(tuple(c))
-        return original(basis, c, n, *rest)
+        return original(store, c)
 
     monkeypatch.setattr(ts.operators, "polynomial_multiplication_matrix", recording)
     sol = ts.solve(ts.parse_problem(builtin(name)))
@@ -640,14 +640,18 @@ def test_error_vs_exact_validation():
 
 
 def test_convergence_study_records_failures():
-    # after augmentation example1 carries two conditions, so n=1 is rejected
+    # after augmentation example1 carries two conditions, so n=1 is rejected;
+    # a size over the cap is rejected before anything of that size is made
     spec = ts.parse_problem(builtin("example1"))
     exact = {"y": lambda x: np.exp(-x), "y2": lambda x: np.exp(-2.0 * x)}
-    rows = ts.convergence_study(spec, [9, 5, 1, 5], exact=exact, grid_size=101)
-    assert [r.n for r in rows] == [1, 5, 9]
+    over = ts.problem.N_CAP + 1
+    rows = ts.convergence_study(spec, [9, 5, 1, over, 5], exact=exact, grid_size=101)
+    assert [r.n for r in rows] == [1, 5, 9, over]
     bad = rows[0]
     assert bad.failure is not None and np.isnan(bad.error)
-    good = rows[1:]
+    assert rows[-1].failure == f"solve.n: n must be positive and at most {over - 1}, got {over}"
+    assert np.isnan(rows[-1].error) and rows[-1].iterations == 0
+    good = rows[1:-1]
     assert all(r.failure is None for r in good)
     assert good[1].error < good[0].error
     assert all(r.iterations >= 1 for r in good)
@@ -687,6 +691,19 @@ def test_convergence_study_lets_programming_errors_through():
 
     with pytest.raises(NameError):
         ts.convergence_study(spec, [8], exact={"y": broken}, grid_size=11)
+
+
+def test_convergence_study_warns_when_the_residual_grows_tenfold():
+    """(x^2 + 0.01) y = 1 on [-1, 1]: the residual at n=5 is 20 times the one at n=4."""
+    spec = ts.parse_problem({
+        "basis": {"family": "ChebyshevT", "domain": [-1.0, 1.0]}, "variables": ["y"],
+        "equations": [{"terms": [{"var": "y", "coeff": {"basis": "power",
+                                                        "coeffs": [0.01, 0.0, 1.0]}}],
+                       "rhs": 1.0}],
+        "solve": {"n": 4}})
+    with pytest.warns(ts.ConvergenceWarning, match=r"residual grew from .* \(n=4\) to .* \(n=5\)"):
+        rows = ts.convergence_study(spec, [4, 5], grid_size=11)
+    assert rows[1].residual > 10.0 * rows[0].residual > 0.0
 
 
 def test_convergence_study_linear_single_sweep():
