@@ -409,6 +409,6 @@ def fredholm_apply(kernel: KernelPoly, series: Series) -> Series:
     """Exact image of a Series under the Fredholm integral of a kernel."""
     out = np.zeros(kernel.coeffs.shape[0])
     for i, g in _row_antiderivatives(kernel, series):
-        at_a, at_b = evaluate(g, list(kernel.basis.domain))
+        at_a, at_b = (evaluate(g, x) for x in kernel.basis.domain)
         out[i] = at_b - at_a
     return Series(kernel.basis, out)

@@ -420,6 +420,9 @@ def _parse_term(node, basis: BasisSpec, where: str) -> TermSpec:
         coeff = (_doc_float(pnode, "weight", pw, 1.0),)
         kind = _one_of(node, where, _KERNEL_KINDS)
         augment = _doc_bool(node, "augment", where)
+        if augment and kind is None:
+            raise ValidationError(
+                "augmentation applies to products inside integrals", _at(where, "augment"))
         for key in ("augment_name", "augment_initial"):
             if node.get(key) is not None and not augment:
                 raise ValidationError("applies only with 'augment': true", _at(where, key))
@@ -765,6 +768,25 @@ def _single_var_conditions(spec: ProblemSpec, var: str) -> list[ConditionSpec]:
     return out
 
 
+def _initial_rows(spec: ProblemSpec) -> list | None:
+    """Explicit starting rows, one per unknown in solve order, or None for a named policy.
+
+    The count is checked against the unknowns of ``spec``, so call it on
+    the augmented spec, whose auxiliary unknowns come last.
+    """
+    policy = spec.settings.initial
+    if isinstance(policy, str):
+        return None
+    rows = list(policy)
+    if rows and not isinstance(rows[0], (tuple, list, np.ndarray)):
+        rows = [rows]
+    if len(rows) != len(spec.variables):
+        raise ValidationError(
+            f"expected {len(spec.variables)} rows, one per unknown in solve order "
+            f"({', '.join(spec.variables)}), got {len(rows)}", "solve.initial")
+    return rows
+
+
 def initial_iterate(spec: ProblemSpec) -> dict:
     """Starting iterate for Newton's method, by the policy ``spec.settings.initial``.
 
@@ -777,14 +799,8 @@ def initial_iterate(spec: ProblemSpec) -> dict:
     """
     policy = spec.settings.initial
     basis = spec.basis
-    if not isinstance(policy, str):
-        rows = list(policy)
-        if rows and not isinstance(rows[0], (tuple, list, np.ndarray)):
-            rows = [rows]
-        if len(rows) != len(spec.variables):
-            raise ValidationError(
-                f"expected {len(spec.variables)} rows, one per unknown in solve order "
-                f"({', '.join(spec.variables)}), got {len(rows)}", "solve.initial")
+    rows = _initial_rows(spec)
+    if rows is not None:
         return {v: Series(basis, np.atleast_1d(np.asarray(row, dtype=float)))
                 for v, row in zip(spec.variables, rows)}
     if policy == "zero":

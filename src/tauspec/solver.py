@@ -39,6 +39,7 @@ from .problem import (
     _apply_integral,
     _as_int,
     _frozen_product,
+    _initial_rows,
     augment_variables,
     check_working_size,
     freeze,
@@ -371,6 +372,7 @@ def solve(spec: ProblemSpec) -> TauSolution:
     """
     spec = augment_variables(spec)
     check_working_size(spec)
+    _initial_rows(spec)  # explicit rows are checked on the linear path too
     n = spec.settings.n
     store = ops.WorkingSize(spec.basis, n)
     if spec.is_linear:

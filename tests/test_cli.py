@@ -266,8 +266,14 @@ def test_non_boolean_flags_exit_one_with_their_location(tmp_path, capsys, mutate
     ("example1", lambda doc: doc["solve"].update(n=ts.problem.N_CAP + 1), "solve.n"),
     # one row for y alone, but the solve also has example1's auxiliary unknown y2
     ("example1", lambda doc: doc["solve"].update(initial=[[1.0]]), "solve.initial"),
+    # a linear problem checks its explicit rows too
+    ("exp-ode", lambda doc: doc["solve"].update(initial=[[1.0], [2.0], [3.0]]), "solve.initial"),
+    # augmentation of a product outside any integral
+    ("example1", lambda doc: doc["equations"][0]["terms"][2].pop("fredholm"),
+     "equations[0].terms[2].augment"),
 ], ids=["terms", "solve", "conditions", "factors", "domain-huge-int", "negative-deriv",
-        "rhs-overflow", "kernel-overflow", "n-huge-int", "n-over-cap", "initial-rows"])
+        "rhs-overflow", "kernel-overflow", "n-huge-int", "n-over-cap", "initial-rows",
+        "initial-rows-linear", "augment-bare-product"])
 def test_malformed_shapes_exit_one_with_their_location(tmp_path, capsys, name, mutate, location):
     doc = json.loads((resources.files("tauspec") / "problems" / f"{name}.json").read_text())
     mutate(doc)

@@ -378,6 +378,25 @@ def test_fredholm_apply_hand_case():
     npt.assert_allclose(got.coeffs[:2], want.coeffs, atol=1e-14)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fredholm_apply_bytes_match_the_two_point_evaluation(family):
+    """Two one-point evaluations at the interval ends give one 2-point array's bits."""
+    rng = np.random.default_rng(17)
+    for domain in DOMAINS:
+        basis = ts.BasisSpec(family, domain)
+        coeffs = rng.standard_normal((5, 4))
+        coeffs[2] = 0.0
+        kernel = ts.KernelPoly(basis, coeffs)
+        for size in (1, 9, 40):
+            series = ts.Series(basis, rng.standard_normal(size))
+            want = np.zeros(kernel.coeffs.shape[0])
+            for i, row in enumerate(kernel.coeffs):
+                g = ts.series_antiderivative(ts.product(ts.Series(basis, row), series))
+                at_a, at_b = ts.evaluate(g, np.array(domain))
+                want[i] = at_b - at_a
+            assert ts.fredholm_apply(kernel, series).coeffs.tobytes() == want.tobytes()
+
+
 def test_kernel_truncation_warning():
     basis = ts.BasisSpec(ts.CHEBYSHEV, (0.0, 1.0))
     kernel = ts.kernel_from_power(basis, np.eye(6))

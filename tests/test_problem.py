@@ -382,10 +382,12 @@ _KERNEL = {"kernel": [[1.0]]}
     ({"product": _PAIR, "volterra": _KERNEL, "augment": False,
       "augment_initial": {"point": 0.0, "value": 1.0}}, r"\.augment_initial",
      "applies only with 'augment': true"),
+    ({"product": _PAIR, "augment": True}, r"\.augment",
+     "augmentation applies to products inside integrals"),
 ], ids=["deriv-integral", "integral-volterra", "volterra-fredholm", "product-two-kernels",
         "product-var", "product-coeff", "product-deriv", "product-integral", "product-order",
         "factor-order-deriv", "order-alone", "order-with-deriv", "augment_name-alone",
-        "augment_initial-augment-false"])
+        "augment_initial-augment-false", "augment-bare-product"])
 def test_conflicting_keys_are_rejected_at_their_term(term, where, problem):
     doc = _doc()
     doc["equations"][0]["terms"][1] = term
@@ -754,6 +756,13 @@ def test_initial_iterate_wrong_row_count():
     with pytest.raises(ts.ValidationError,
                        match=r"solve\.initial: expected 2 rows, .* order \(y, y2\), got 1"):
         ts.solve(spec)
+    # a linear problem never starts Newton, yet its rows are checked as well
+    spec = ts.parse_problem(_doc(), initial=[[1.0], [2.0], [3.0]])
+    assert spec.is_linear
+    with pytest.raises(ts.ValidationError,
+                       match=r"solve\.initial: expected 1 rows, .* order \(y\), got 3"):
+        ts.solve(spec)
+    assert ts.solve(ts.parse_problem(_doc(), initial=[[5.0]])).converged
 
 
 def test_settings_validation():

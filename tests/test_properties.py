@@ -3,11 +3,14 @@
 The Newton sweep shares one product per unordered pair of frozen factors
 between the exact defect and the linearization, which is only
 byte-identical to multiplying in the written order if product(p, q) and
-product(q, p) agree bitwise.  Differentiation undoes integration on every
-column the antiderivative keeps.  A problem whose exact solution is a
-polynomial below the working size is solved exactly by the tau method,
-up to rounding, whatever its polynomial coefficients and kernels; when
-it is nonlinear, Newton gets there from a nearby start.
+product(q, p) agree bitwise.  The product's one ordered scatter, its
+scaled copy for a constant factor and the one-point evaluation on Python
+floats give the bytes of the plain loops they replaced.  Differentiation
+undoes integration on every column the antiderivative keeps.  A problem
+whose exact solution is a polynomial below the working size is solved
+exactly by the tau method, up to rounding, whatever its polynomial
+coefficients and kernels; when it is nonlinear, Newton gets there from a
+nearby start.
 """
 
 import numpy as np
@@ -17,6 +20,7 @@ from numpy.polynomial import polynomial as P
 import tauspec as ts
 
 import oracles
+import references
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -28,6 +32,9 @@ FAMILIES = [ts.CHEBYSHEV, ts.LEGENDRE]
 COEFFICIENT = st.one_of(
     st.sampled_from([0.0, -0.0]),
     st.builds(lambda sign, m: sign * m, st.sampled_from([-1.0, 1.0]), st.floats(1e-3, 1.0)))
+
+
+UNIT = st.floats(-1.0, 1.0)
 
 
 @st.composite
@@ -71,6 +78,52 @@ def test_differentiation_undoes_integration_on_the_leading_block(family, a, widt
     assert np.max(np.abs(got - np.eye(n)[:, : n - 1]), initial=0.0) <= 1e-14
 
 
+@st.composite
+def scatter_factors(draw):
+    """Coefficients of length 1 to 80: dense, one coefficient, or all zero.
+
+    Signed zeros come from COEFFICIENT; a scale of 1e-300 makes products
+    of pair weights and rows underflow to subnormals and signed zeros.
+    """
+    size = draw(st.integers(1, 80))
+    coeffs = np.array(draw(st.lists(COEFFICIENT, min_size=size, max_size=size)))
+    shape = draw(st.sampled_from(["dense", "one", "zero"]))
+    if shape == "one":
+        coeffs[1:] = 0.0
+    elif shape == "zero":
+        coeffs = np.copysign(0.0, coeffs)
+    return coeffs * draw(st.sampled_from([1.0, 1e-300]))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(a=scatter_factors(), b=scatter_factors())
+@hypothesis.example(a=np.array([-0.5]), b=np.linspace(-1.0, 1.0, 80))
+@hypothesis.example(a=np.array([3.0, -0.0, 0.0]), b=np.array([-0.0]))
+@hypothesis.example(a=np.linspace(-1.0, 1.0, 80), b=np.cos(np.arange(80.0)))
+def test_product_bytes_match_the_pair_loop_property(family, a, b):
+    basis = ts.BasisSpec(family, (0.0, 2.5))
+    p, q = ts.Series(basis, a), ts.Series(basis, b)
+    for x, y in ((p, q), (q, p)):
+        got = ts.product(x, y).coeffs
+        assert got.tobytes() == references.pair_loop_product(x, y).coeffs.tobytes()
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(family=st.sampled_from(FAMILIES), a=st.floats(-4.0, 4.0),
+                  width=st.floats(0.1, 8.0), coeffs=st.lists(UNIT, min_size=1, max_size=80),
+                  share=st.floats(0.0, 1.0))
+def test_one_point_evaluation_bytes_match_the_array_loop(family, a, width, coeffs, share):
+    """At the domain ends and inside, a scalar point gives the array loop's bits."""
+    basis = ts.BasisSpec(family, (a, a + width))
+    series = ts.Series(basis, coeffs)
+    lo, hi = basis.domain
+    for x in (lo, hi, min(lo + share * (hi - lo), hi)):
+        got = ts.evaluate(series, x)
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == np.float64(references.evaluate(series, x)).tobytes()
+
+
 def test_product_oracles_agree_exactly():
     """The recurrence oracle gives the same rationals as product_oracle."""
     rng = np.random.default_rng(41)
@@ -85,8 +138,6 @@ def test_product_oracles_agree_exactly():
 
 
 # -- manufactured linear problems ---------------------------------------------
-
-UNIT = st.floats(-1.0, 1.0)
 
 
 def _power_kernel(draw) -> np.ndarray:
