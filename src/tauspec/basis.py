@@ -380,6 +380,15 @@ def _support(a: np.ndarray) -> int:
     return int(nz[-1]) + 1 if nz.size else 0
 
 
+def _through_support(s: Series) -> Series:
+    """s cut after its last nonzero coefficient, keeping at least one.
+
+    Its value anywhere on the domain is the value of s but for the sign of
+    a zero: the cut terms are signed zeros, and x + (+-0.0) = x for x != 0.
+    """
+    return Series(s.basis, s.coeffs[: max(1, _support(s.coeffs))])
+
+
 def product(p: Series, q: Series) -> Series:
     """Product of two Series, computed entirely in the orthogonal basis.
 
@@ -387,11 +396,12 @@ def product(p: Series, q: Series) -> Series:
     length 2n + 1.  Contributions are symmetrized over (i, j) pairs, so
     product(p, q) and product(q, p) agree bitwise.  Only pairs j <= i
     with j below the shorter support m and i below the longer one hi can
-    have a nonzero weight.  Their weights come from one outer product;
-    the live pairs look up their rows in (j, i) order, and the weighted
-    rows are added in one ordered scatter per chunk of at most (n + 1)^2
-    entries, so every coefficient sums its terms in (j, i) order.  With
-    m <= 1 the one column is a scaled copy: row (i, 0) is exactly e_i.
+    have a nonzero weight.  Their weights come from one outer product.
+    The first column (j = 0) is a copy, since row (0, i) is exactly e_i;
+    the live pairs with j >= 1 look up their rows in (j, i) order, and
+    the weighted rows are added in one ordered scatter per chunk of at
+    most (n + 1)^2 entries, so every coefficient sums its terms in (j, i)
+    order.
     """
     _check_same_basis(p, q)
     n = max(p.coeffs.size, q.coeffs.size) - 1
@@ -400,17 +410,13 @@ def product(p: Series, q: Series) -> Series:
     b = np.zeros(n + 1)
     b[: q.coeffs.size] = q.coeffs
     sa, sb = _support(a), _support(b)
-    m, hi = min(sa, sb), max(sa, sb)
+    m, hi = max(min(sa, sb), 1), max(sa, sb)
     c = np.zeros(2 * n + 1)
-    if m <= 1:
-        x, y = (a, b) if sa <= sb else (b, a)
-        c[:hi] = x[0] * y[:hi]
-        c[0] = (a[0] * b[0] + a[0] * b[0]) * 0.5  # the halved diagonal weight
-        c += 0.0  # -0.0 becomes +0.0, as a scatter onto zeros leaves it
-        return Series(p.basis, c)
     w = np.outer(b[:m], a[:hi]) + np.outer(a[:m], b[:hi])
     np.fill_diagonal(w, w.diagonal() * 0.5)
-    js, iis = np.nonzero(np.triu(w))
+    c[:hi] = 0.0 + w[0]  # -0.0 becomes +0.0, as a scatter onto zeros leaves it
+    js, iis = np.nonzero(np.triu(w)[1:])
+    js += 1
     row = linearization_table(p.basis.family).row
     rows = [row(i, j) for j, i in zip(js.tolist(), iis.tolist())]
     sizes = np.fromiter((r[0].size for r in rows), int, len(rows))

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import evaluate
+from .basis import _through_support, evaluate
 from .errors import ConfigurationError, SingularSystemError, ValidationError
 from .problem import parse_problem
 from .solver import TauSolution, convergence_study, error_vs_exact, solve
@@ -262,7 +262,8 @@ def cmd_plotdata(args) -> int:
             f.write("# no reference solution; columns are equation residuals\n")
             names = list(range(len(sol.residual.defect_series)))
             writer.writerow(["x"] + [f"residual_eq{e}" for e in names])
-            cols = [np.abs(evaluate(d, grid)) for d in sol.residual.defect_series]
+            cols = [np.abs(evaluate(_through_support(d), grid))
+                    for d in sol.residual.defect_series]
         for i, x in enumerate(grid):
             writer.writerow(["%.17g" % x] + ["%.17g" % c[i] for c in cols])
 

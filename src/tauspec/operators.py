@@ -28,6 +28,7 @@ from .basis import (
     _member_values,
     _mul_x_matrix,
     _recurrence,
+    _through_support,
     basis_row,
     cached_block,
     evaluate,
@@ -393,14 +394,15 @@ def volterra_apply(kernel: KernelPoly, lower: float, series: Series) -> Series:
     it is suitable for residual checks against the assembled operator.
     """
     basis = kernel.basis
-    out = np.zeros(1)
+    pieces = []
     for i, g in _row_antiderivatives(kernel, series):
         anchored = np.array(g.coeffs)
-        anchored[0] -= evaluate(g, lower)
+        anchored[0] -= evaluate(_through_support(g), lower)
         e_i = np.zeros(i + 1)
         e_i[i] = 1.0
-        piece = product(Series(basis, e_i), Series(basis, anchored)).coeffs
-        out = np.pad(out, (0, max(0, piece.size - out.size)))
+        pieces.append(product(Series(basis, e_i), Series(basis, anchored)).coeffs)
+    out = np.zeros(max((piece.size for piece in pieces), default=1))
+    for piece in pieces:
         out[: piece.size] += piece
     return Series(basis, out)
 
@@ -409,6 +411,7 @@ def fredholm_apply(kernel: KernelPoly, series: Series) -> Series:
     """Exact image of a Series under the Fredholm integral of a kernel."""
     out = np.zeros(kernel.coeffs.shape[0])
     for i, g in _row_antiderivatives(kernel, series):
-        at_a, at_b = (evaluate(g, x) for x in kernel.basis.domain)
+        head = _through_support(g)
+        at_a, at_b = (evaluate(head, x) for x in kernel.basis.domain)
         out[i] = at_b - at_a
     return Series(kernel.basis, out)

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.linalg
 
-from .basis import Series, basis_row, evaluate, product
+from .basis import Series, _through_support, basis_row, evaluate, product
 from .errors import (
     ConvergenceWarning,
     SingularSystemError,
@@ -202,7 +202,9 @@ def assemble(spec: ProblemSpec, store: ops.WorkingSize | None = None) -> TauSyst
                         raise ValidationError(
                             f"{exc}; increase n to fit the coefficient polynomial",
                             f"equations[{e}].terms[{ti}]") from None
-                    matrices[key] = outer @ matrices[key]
+                    # outer @ I is outer with its -0.0 entries made +0.0
+                    matrices[key] = (outer + 0.0 if key[:2] == (None, 0)
+                                     else outer @ matrices[key])
             mat = matrices[key]
             var = term.factors[0][0]
             blocks[var] = blocks[var] + mat if var in blocks else mat
@@ -313,14 +315,17 @@ def residual_report(spec: ProblemSpec, iterate: Mapping,
 
     ``defects`` are the candidate's exact equation defects, as returned by
     ``equation_defects(spec, iterate)``; the report samples them on a
-    Chebyshev-Lobatto grid of RESIDUAL_GRID points.
+    Chebyshev-Lobatto grid of RESIDUAL_GRID points, each only through its
+    last nonzero coefficient: the trailing zeros would add signed zeros,
+    which change no absolute value.
     """
     a, b = spec.basis.domain
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     grid = mid - half * np.cos(np.pi * np.arange(RESIDUAL_GRID) / (RESIDUAL_GRID - 1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        eq_max = [float(np.max(np.abs(evaluate(d, grid)))) for d in defects]
+        eq_max = [float(np.max(np.abs(evaluate(_through_support(d), grid))))
+                  for d in defects]
     cond = [float(x) for x in condition_defects(spec, iterate)]
     return ResidualReport(grid, eq_max, cond, defects)
 

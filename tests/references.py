@@ -163,6 +163,52 @@ def per_column_volterra_operator(kernel, lower, n):
     return acc
 
 
+# -- exact integral images and the residual, on every coefficient -------------
+
+
+def volterra_apply(kernel, lower, series):
+    """Volterra image, each antiderivative evaluated in full, padded per piece."""
+    basis = kernel.basis
+    out = np.zeros(1)
+    for i, row in enumerate(kernel.coeffs):
+        if not row.any():
+            continue
+        g = ts.series_antiderivative(ts.product(ts.Series(basis, row), series))
+        anchored = np.array(g.coeffs)
+        anchored[0] -= ts.evaluate(g, lower)
+        e_i = np.zeros(i + 1)
+        e_i[i] = 1.0
+        piece = ts.product(ts.Series(basis, e_i), ts.Series(basis, anchored)).coeffs
+        out = np.pad(out, (0, max(0, piece.size - out.size)))
+        out[: piece.size] += piece
+    return ts.Series(basis, out)
+
+
+def fredholm_apply(kernel, series):
+    """Fredholm image, each antiderivative evaluated in full at both ends."""
+    basis = kernel.basis
+    out = np.zeros(kernel.coeffs.shape[0])
+    for i, row in enumerate(kernel.coeffs):
+        if not row.any():
+            continue
+        g = ts.series_antiderivative(ts.product(ts.Series(basis, row), series))
+        at_a, at_b = (ts.evaluate(g, x) for x in basis.domain)
+        out[i] = at_b - at_a
+    return ts.Series(basis, out)
+
+
+def residual_report(spec, iterate, defects):
+    """Residual report that samples every coefficient of each defect."""
+    solver = ts.solver
+    a, b = spec.basis.domain
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    size = solver.RESIDUAL_GRID
+    grid = mid - half * np.cos(np.pi * np.arange(size) / (size - 1))
+    eq_max = [float(np.max(np.abs(evaluate(d, grid)))) for d in defects]
+    cond = [float(x) for x in solver.condition_defects(spec, iterate)]
+    return solver.ResidualReport(grid, eq_max, cond, defects)
+
+
 # -- a Newton sweep that freezes nothing ------------------------------------
 
 

@@ -397,6 +397,47 @@ def test_fredholm_apply_bytes_match_the_two_point_evaluation(family):
             assert ts.fredholm_apply(kernel, series).coeffs.tobytes() == want.tobytes()
 
 
+def _zero_heavy_series(rng):
+    """Series with trailing zeros, signed zeros, no nonzero at all, or 1e-300 scaling."""
+    for size in (1, 7, 30):
+        c = rng.standard_normal(size)
+        yield c
+        yield np.concatenate([c, np.zeros(size)])
+        signed = np.concatenate([c, -np.zeros(size)])
+        signed[1::3] = -0.0
+        yield signed
+        yield np.where(rng.random(size) < 0.5, -0.0, 0.0)
+        yield 1e-300 * np.concatenate([c, np.zeros(3)])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_integral_images_bytes_match_the_full_length_evaluation(family):
+    """Evaluating only through the support changes no bit of either image.
+
+    The references evaluate every antiderivative over all its trailing
+    zeros and grow the Volterra image by one pad per piece.  The kernels
+    have zero rows, trailing zero columns, signed zeros and tiny entries.
+    """
+    rng = np.random.default_rng(23)
+    for domain in DOMAINS:
+        basis = ts.BasisSpec(family, domain)
+        kernels = [rng.standard_normal((4, 3)), np.zeros((2, 2)),
+                   1e-300 * rng.standard_normal((3, 1))]
+        kernels[0][1] = 0.0
+        kernels[0][:, 2] = -0.0
+        for coeffs in kernels:
+            kernel = ts.KernelPoly(basis, coeffs)
+            for c in _zero_heavy_series(rng):
+                series = ts.Series(basis, c)
+                for lower in (domain[0], 0.5 * (domain[0] + domain[1]), domain[1]):
+                    got = ts.volterra_apply(kernel, lower, series).coeffs
+                    want = references.volterra_apply(kernel, lower, series).coeffs
+                    assert got.tobytes() == want.tobytes()
+                got = ts.fredholm_apply(kernel, series).coeffs
+                want = references.fredholm_apply(kernel, series).coeffs
+                assert got.tobytes() == want.tobytes()
+
+
 def test_kernel_truncation_warning():
     basis = ts.BasisSpec(ts.CHEBYSHEV, (0.0, 1.0))
     kernel = ts.kernel_from_power(basis, np.eye(6))

@@ -47,6 +47,33 @@ def test_assemble_hand_checked_two_by_two():
     npt.assert_allclose(vec, [2.0, 1.0], atol=1e-13)
 
 
+@pytest.mark.parametrize("family", [ts.CHEBYSHEV, ts.LEGENDRE])
+@pytest.mark.parametrize("n", [12, 70])
+@pytest.mark.parametrize("coeff", [
+    -1.0, 2.5, {"basis": "power", "coeffs": [0.5, -1.0, 0.25]}],
+    ids=["negative-constant", "constant", "polynomial"])
+def test_order_zero_coefficient_block_bytes_match_the_identity_product(coeff, n, family):
+    """A coefficient times y, without an integral, assembles to (multiplier) @ I.
+
+    The negative constant's multiplier holds -0.0 off its diagonal, which
+    the product with the identity turns into +0.0.
+    """
+    doc = {
+        "basis": {"family": family, "domain": [0.0, 2.0]},
+        "variables": ["y"],
+        "equations": [{"terms": [{"var": "y", "coeff": coeff}], "rhs": 1.0}],
+        "conditions": [],
+        "solve": {"n": n},
+    }
+    spec = ts.parse_problem(doc)
+    store = ts.WorkingSize(spec.basis, n)
+    outer = ts.polynomial_multiplication_matrix(store, spec.equations[0].terms[0].coeff)
+    if coeff == -1.0:
+        assert np.any(np.signbit(outer) & (outer == 0.0))
+    want = outer @ np.eye(n)
+    assert ts.assemble(spec, store).matrix.tobytes() == want.tobytes()
+
+
 def test_assemble_rejects_products():
     doc = builtin("example1")
     spec = ts.parse_problem(doc)
@@ -233,6 +260,32 @@ def test_residual_report_structure():
     assert max(rep.equation_max) <= 1e-12
     assert len(rep.condition_defect) == 2
     assert max(rep.condition_defect) <= 1e-12
+
+
+@pytest.mark.parametrize("family", [ts.CHEBYSHEV, ts.LEGENDRE])
+def test_residual_sampling_bytes_match_the_full_length_evaluation(family):
+    """Sampling a defect only through its support gives the full sampling's bits.
+
+    The defects have trailing zeros, signed zeros, no nonzero at all, or
+    tiny entries, like the padded exact defects of the Volterra and
+    Fredholm terms.
+    """
+    doc = builtin("volterra-exp")
+    doc["basis"]["family"] = family
+    spec = ts.parse_problem(doc)
+    sol = ts.solve(spec)
+    rng = np.random.default_rng(5)
+    head = rng.standard_normal(9)
+    signed = np.concatenate([head, -np.zeros(20)])
+    signed[::4] = -0.0
+    defects = [ts.Series(spec.basis, c) for c in (
+        np.concatenate([head, np.zeros(30)]), signed, -np.zeros(12), np.zeros(1),
+        1e-300 * np.concatenate([head, np.zeros(5)]), head)]
+    defects += sol.residual.defect_series
+    got = ts.residual_report(spec, sol.series, defects)
+    want = references.residual_report(spec, sol.series, defects)
+    assert np.array(got.equation_max).tobytes() == np.array(want.equation_max).tobytes()
+    assert got.condition_defect == want.condition_defect
 
 
 # One run per way solve can end: a linear solve, converged Newton, Newton
@@ -568,6 +621,8 @@ SHARING_RUNS = {
     "example1": lambda: builtin("example1"),
     "example2": lambda: builtin("example2"),
     "example2-n33": lambda: dict(builtin("example2"), solve={"n": 33}),
+    "exp-ode": lambda: builtin("exp-ode"),
+    "volterra-exp": lambda: builtin("volterra-exp"),
     "cube": lambda: _cube_doc(False),
     "cube-volterra": lambda: _cube_doc(True),
     "damped": lambda: dict(builtin("example1"), solve={"n": 17, "damping": True}),
@@ -581,6 +636,8 @@ def _solution_bytes(sol) -> list:
         out.append(np.array([state.iteration, state.update_norm, state.residual_norm]).tobytes())
         out.extend(state.iterate[v].coeffs.tobytes() for v in sol.spec.variables)
     out.extend(d.coeffs.tobytes() for d in sol.residual.defect_series)
+    out.append(np.array(sol.residual.equation_max).tobytes())
+    out.append(np.array(sol.residual.condition_defect).tobytes())
     return out
 
 
@@ -591,7 +648,9 @@ def test_frozen_candidates_match_the_plain_sweep_byte_for_byte(monkeypatch, labe
 
     The plain sweep recomputes every factor and product in the written
     order, builds one matrix per term occurrence, and walks the member
-    matrices again for every operator.
+    matrices again for every operator.  It also evaluates every
+    antiderivative and every defect over all its trailing zeros, so the
+    residual report's ``equation_max`` is pinned too.
     """
     doc = SHARING_RUNS[label]()
     doc["basis"]["family"] = family
@@ -605,6 +664,9 @@ def test_frozen_candidates_match_the_plain_sweep_byte_for_byte(monkeypatch, labe
     monkeypatch.setattr(ts.solver, "linearize", references.linearize)
     monkeypatch.setattr(ts.solver, "_apply_term_exact", references.apply_term_exact)
     monkeypatch.setattr(ts.solver, "assemble", references.assemble)
+    monkeypatch.setattr(ts.operators, "volterra_apply", references.volterra_apply)
+    monkeypatch.setattr(ts.operators, "fredholm_apply", references.fredholm_apply)
+    monkeypatch.setattr(ts.solver, "residual_report", references.residual_report)
     plain = run()
     assert (len(shared.newton) == 1) if shared.spec.is_linear else (len(shared.newton) > 1)
     assert _solution_bytes(shared) == _solution_bytes(plain)
