@@ -40,6 +40,7 @@ __all__ = [
 
 CHEBYSHEV = "ChebyshevT"
 LEGENDRE = "LegendreP"
+BAND_TERMS = 4  # products whose shorter support is at most this add diagonals of P_j(J)
 
 
 def _chebyshev_recurrence(j: int) -> tuple[float, float, float]:
@@ -57,10 +58,10 @@ class _Family:
 
     ``abg`` holds alpha, beta and gamma as rows of one read-only array, and
     ``blocks`` the reference-interval matrices whose leading blocks do not
-    depend on their size; both grow by doubling when a larger size is
-    asked for.  ``table`` is the shared linearization table.  All three
-    fill on first use.  Registering the name again replaces the object,
-    and with it every cache.
+    depend on their size, and ``bands`` those of ``_bands``; all three grow
+    by doubling when a larger size is asked for.  ``table`` is the shared
+    linearization table.  All four fill on first use.  Registering the name
+    again replaces the object, and with it every cache.
     """
 
     def __init__(self, name, recurrence):
@@ -68,6 +69,7 @@ class _Family:
         self.recurrence = recurrence
         self.abg = np.zeros((3, 0))
         self.blocks: dict[str, np.ndarray] = {}
+        self.bands: tuple[int, list] | None = None
         self.table: LinearizationTable | None = None
 
     def coefficients(self, n: int):
@@ -374,6 +376,28 @@ def linearization_table(family: str) -> LinearizationTable:
     return fam.table
 
 
+def _bands(basis: BasisSpec, width: int) -> list:
+    """Diagonals of P_j(J), j < BAND_TERMS, for columns j <= i < width or more.
+
+    Item j lists (d, values[i] = entry (i + d, i)) for d = j .. -j, less
+    those zero in every column i >= j.  One walk of ``_recurrence`` on a
+    comb, whose column s sums the e_i with i = s mod 2 * BAND_TERMS, makes
+    them: entry (i + d, i) of P_j depends on entries of P_k within 2j - k
+    rows of i, which no other e_i nor the last row reaches.  So it is the
+    table's climb on e_i, bit for bit, or a zero the table does not store.
+    """
+    fam = _FAMILIES[basis.family]
+    if fam.bands is None or fam.bands[0] < width:
+        width, step = max(width, 2 * fam.bands[0] if fam.bands else 0), 2 * BAND_TERMS
+        comb = np.equal.outer(np.arange(width + step) % step, np.arange(step)) * 1.0
+        walk = _recurrence(basis, comb, _j_minus_beta(basis, width + step), BAND_TERMS)
+        cols = np.arange(width)
+        diags = [[(d, pj[cols + d, cols % step]) for d in range(j, -j - 1, -1)]
+                 for j, pj in enumerate(walk)]  # columns i < -d wrap round, unread
+        fam.bands = (width, [[(d, v) for d, v in dj if v[j:].any()] for j, dj in enumerate(diags)])
+    return fam.bands[1]
+
+
 def _support(a: np.ndarray) -> int:
     """One past the index of the last nonzero entry (0 if all are zero)."""
     nz = np.flatnonzero(a)
@@ -397,11 +421,12 @@ def product(p: Series, q: Series) -> Series:
     product(p, q) and product(q, p) agree bitwise.  Only pairs j <= i
     with j below the shorter support m and i below the longer one hi can
     have a nonzero weight.  Their weights come from one outer product.
-    The first column (j = 0) is a copy, since row (0, i) is exactly e_i;
-    the live pairs with j >= 1 look up their rows in (j, i) order, and
-    the weighted rows are added in one ordered scatter per chunk of at
-    most (n + 1)^2 entries, so every coefficient sums its terms in (j, i)
-    order.
+    The first column (j = 0) is a copy, since row (0, i) is exactly e_i.
+    For j >= 1 each coefficient sums its terms in (j, i) order: if
+    m <= BAND_TERMS, as weighted slices of the diagonals d = j .. -j of
+    P_j(J) (``_bands``), j ascending and d descending, whose zeros add
+    +-0.0 to sums that start at +0.0; otherwise as the pairs' table rows,
+    in one ordered scatter per chunk of at most (n + 1)^2 entries.
     """
     _check_same_basis(p, q)
     n = max(p.coeffs.size, q.coeffs.size) - 1
@@ -415,6 +440,11 @@ def product(p: Series, q: Series) -> Series:
     w = np.outer(b[:m], a[:hi]) + np.outer(a[:m], b[:hi])
     np.fill_diagonal(w, w.diagonal() * 0.5)
     c[:hi] = 0.0 + w[0]  # -0.0 becomes +0.0, as a scatter onto zeros leaves it
+    if m <= BAND_TERMS:
+        for j, diagonals in enumerate(_bands(p.basis, hi)[1:m], start=1):
+            for d, diag in diagonals:
+                c[j + d : hi + d] += w[j, j:hi] * diag[j:hi]
+        return Series(p.basis, c)
     js, iis = np.nonzero(np.triu(w)[1:])
     js += 1
     row = linearization_table(p.basis.family).row

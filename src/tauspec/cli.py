@@ -229,8 +229,8 @@ def cmd_eval(args) -> int:
         points = [float(s) for s in args.points.split(",") if s.strip()]
     except ValueError:
         raise ValidationError(f"bad --points list {args.points!r}") from None
-    if not points:
-        raise ValidationError("--points must list at least one point")
+    if not points or not np.isfinite(points).all():
+        raise ValidationError(f"at least one point, all finite, got {args.points!r}", "--points")
     sol = solve(spec)
     xs = np.asarray(points)
     values = {v: evaluate(sol.series[v], xs) for v in sol.spec.variables}

@@ -60,7 +60,8 @@ def test_import_fills_no_cache():
     probe = (
         "import tauspec\n"
         "from tauspec.basis import _FAMILIES\n"
-        "print(all(f.abg.size == 0 and not f.blocks and f.table is None\n"
+        "print(all(f.abg.size == 0 and not f.blocks and f.bands is None\n"
+        "          and f.table is None\n"
         "          for f in _FAMILIES.values()))\n")
     # the child imports the same tauspec as this process, installed or not
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -202,21 +203,78 @@ def _product_factor(rng, kind: int) -> np.ndarray:
     return a
 
 
-@pytest.mark.parametrize("family", FAMILIES)
+# beta varies with j, so every diagonal d = j .. -j of P_j(J) is nonzero
+SKEWED = "SkewedBands"
+
+
+def _register_skewed():
+    ts.register_family(SKEWED, lambda j: (0.5, 0.25 / (j + 1), 0.5))
+
+
+def _thin_and_long(rng, m: int, kind: int) -> tuple[np.ndarray, np.ndarray]:
+    """A factor with support m against one with 1..300 coefficients."""
+    thin = np.concatenate([rng.standard_normal(m), np.zeros(rng.integers(0, 3))])
+    long = rng.standard_normal(rng.integers(m, 301))
+    if kind == 1:
+        long[rng.integers(m, long.size + 1):] = 0.0
+    elif kind == 2:
+        thin[0] = -0.0
+        long[rng.integers(0, long.size, size=long.size // 3)] = -0.0
+        long[rng.integers(0, long.size, size=long.size // 3)] = 0.0
+    elif kind == 3:
+        thin *= 1e-300
+        long *= 1e-300
+    return thin, long
+
+
+@pytest.mark.parametrize("family", [*FAMILIES, SKEWED])
 def test_product_bytes_match_the_pair_loop(family):
-    """Restricting the pairs and scattering them in one ordered pass changes no bit.
+    """Restricting the pairs, scattering them in one ordered pass and
+    adding a thin factor's band diagonals change no bit.
 
     Covers trailing, interior and all-zero coefficients, one-coefficient
-    factors, signed zeros, 1e-300 scaling and both argument orders.
+    factors, signed zeros, 1e-300 scaling and both argument orders, and
+    factors of support 1 .. BAND_TERMS against factors of up to 300
+    coefficients.
     """
+    if family == SKEWED:
+        _register_skewed()
     rng = np.random.default_rng(31)
     basis = ts.BasisSpec(family, (0.0, 2.0))
-    for trial in range(120):
-        p = ts.Series(basis, _product_factor(rng, trial % 7))
-        q = ts.Series(basis, _product_factor(rng, (trial // 7) % 7))
+    pairs = [(_product_factor(rng, trial % 7), _product_factor(rng, (trial // 7) % 7))
+             for trial in range(120)]
+    pairs += [_thin_and_long(rng, 1 + trial % ts.basis.BAND_TERMS, trial // 4 % 4)
+              for trial in range(48)]
+    for a, b in pairs:
+        p, q = ts.Series(basis, a), ts.Series(basis, b)
         for x, y in ((p, q), (q, p)):
             got = ts.product(x, y).coeffs
             assert got.tobytes() == references.pair_loop_product(x, y).coeffs.tobytes()
+
+
+@pytest.mark.parametrize("family", [*FAMILIES, SKEWED])
+def test_bands_hold_the_table_rows(family):
+    """Entry (i + d, i) of each band is the table's row (j, i) at i + d, bit for bit,
+    and zero where the table stores nothing."""
+    if family == SKEWED:
+        _register_skewed()
+    basis = ts.BasisSpec(family)
+    table = ts.LinearizationTable(family)
+    bands = ts.basis._bands(basis, 150)
+    # live diagonals per j: Chebyshev's d = 0 of P_2 vanishes in every column i >= 2
+    live = {ts.CHEBYSHEV: [1, 2, 2, 2], ts.LEGENDRE: [1, 2, 3, 4], SKEWED: [1, 3, 5, 7]}[family]
+    for j in range(ts.basis.BAND_TERMS):
+        assert len(bands[j]) == live[j]
+        assert [d for d, _ in bands[j]] == sorted((d for d, _ in bands[j]), reverse=True)
+        for i in range(j, 150):
+            idx, vals = table.row(i, j)
+            want = dict(zip((idx - i).tolist(), vals))
+            for d, values in bands[j]:
+                if d in want:
+                    assert values[i].tobytes() == want.pop(d).tobytes()
+                else:
+                    assert values[i] == 0.0
+            assert not want
 
 
 def test_warm_product_scatter_memory_is_bounded():
@@ -240,10 +298,12 @@ def test_warm_product_scatter_memory_is_bounded():
 
 
 def test_products_keep_looking_up_rows(monkeypatch):
-    """Products go through LinearizationTable.row even when warm.
+    """Pair products go through LinearizationTable.row even when warm.
 
     The benchmark's tracer patches that method and counts its lookups, so
-    a product that stopped calling it would blind the per-layer metrics.
+    a pair product that stopped calling it would blind the per-layer
+    metrics.  A thin factor (support at most BAND_TERMS) reads the band
+    store instead and, once the store is wide enough, makes no lookup.
     """
     assert callable(getattr(ts.LinearizationTable, "row", None))
     calls = []
@@ -259,10 +319,46 @@ def test_products_keep_looking_up_rows(monkeypatch):
         basis = ts.BasisSpec(family)
         p = ts.Series(basis, rng.standard_normal(16))
         q = ts.Series(basis, rng.standard_normal(16))
+        thin = ts.Series(basis, rng.standard_normal(ts.basis.BAND_TERMS))
         ts.product(p, q)
+        ts.product(thin, q)
         calls.clear()
         ts.product(p, q)
         assert len(calls) >= 1
+        calls.clear()
+        ts.product(thin, q)
+        ts.product(q, thin)
+        assert calls == []
+
+
+def test_band_store_memory_is_bounded():
+    """The band store at the width of a thin product at N_CAP stays small.
+
+    A thin factor times a Volterra integrand at n = N_CAP has a support of
+    about 2 * N_CAP + 3.  The store holds at most BAND_TERMS^2 rows of that
+    width, 0.26 MB; filling it walks one comb of 2 * BAND_TERMS columns.
+    Filled from the table's rows instead, it would keep one open climb of
+    width 2i + 1 per column i, a traced peak of about 110 MB.
+    """
+    _register_skewed()  # a new family object, so the store starts empty
+    basis = ts.BasisSpec(SKEWED)
+    rng = np.random.default_rng(4)
+    width = 2 * ts.problem.N_CAP + 3
+    thin = ts.Series(basis, rng.standard_normal(ts.basis.BAND_TERMS))
+    long = ts.Series(basis, rng.standard_normal(width))
+    ts.recurrence_coefficients(basis, 2 * width)
+    tracemalloc.start()
+    try:
+        ts.product(thin, long)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    store_width, bands = ts.basis._FAMILIES[SKEWED].bands
+    assert store_width == width
+    rows = sum(len(diagonals) for diagonals in bands)
+    assert rows == ts.basis.BAND_TERMS ** 2
+    assert all(v.nbytes == 8 * width for diagonals in bands for _, v in diagonals)
+    assert peak < 2e6
 
 
 def test_product_basis_mismatch():
@@ -311,12 +407,20 @@ def test_linearization_rows_do_not_depend_on_lookup_order():
 
 
 def test_reregistered_family_drops_its_caches():
+    """The band store (thin products) and the table (pair products) both go."""
     ts.register_family("Fam", lambda j: (1.0, 0.0, 0.0))
     basis = ts.BasisSpec("Fam")
     t1 = ts.Series(basis, [0.0, 1.0])
+    t5 = ts.Series(basis, np.eye(6)[5])
+    long = ts.Series(basis, np.eye(12)[9])
     npt.assert_array_equal(ts.product(t1, t1).coeffs, [0.0, 0.0, 1.0])
+    npt.assert_array_equal(ts.product(t1, long).coeffs, np.eye(23)[10])
+    npt.assert_array_equal(ts.product(t5, t5).coeffs, np.eye(11)[10])
     ts.register_family("Fam", lambda j: (1.0, 0.0, 0.0) if j == 0 else (0.5, 0.0, 0.5))
+    assert ts.basis._FAMILIES["Fam"].bands is None
     npt.assert_array_equal(ts.product(t1, t1).coeffs, [0.5, 0.0, 0.5])
+    npt.assert_array_equal(ts.product(t1, long).coeffs, (np.eye(23)[8] + np.eye(23)[10]) / 2)
+    npt.assert_array_equal(ts.product(t5, t5).coeffs, (np.eye(11)[0] + np.eye(11)[10]) / 2)
 
 
 def test_register_power_family():

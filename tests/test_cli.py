@@ -99,6 +99,17 @@ def test_eval_empty_points_is_an_error(capsys):
     assert "at least one point" in err
 
 
+@pytest.mark.parametrize("points", ["nan", "inf", "0.5,-inf", "0.25,NaN,1"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_eval_nonfinite_points_are_an_error(capsys, points, fmt):
+    """A NaN or infinite point is bad input at --points, not a NaN row."""
+    code, out, err = run(capsys, "eval", "exp-ode", "--points", points, "--format", fmt)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --points: ")
+    assert "Traceback" not in err
+
+
 def test_convergence_table(capsys):
     code, out, _ = run(capsys, "convergence", "exp-ode", "--ns", "4,8,16")
     assert code == 0
