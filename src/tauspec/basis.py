@@ -41,6 +41,7 @@ __all__ = [
 CHEBYSHEV = "ChebyshevT"
 LEGENDRE = "LegendreP"
 BAND_TERMS = 4  # products whose shorter support is at most this add diagonals of P_j(J)
+POINT_BUDGET = 32 * 2**20  # bytes of member values one family keeps at points
 
 
 def _chebyshev_recurrence(j: int) -> tuple[float, float, float]:
@@ -56,12 +57,14 @@ def _legendre_recurrence(j: int) -> tuple[float, float, float]:
 class _Family:
     """A registered family and everything derived from its recurrence.
 
-    ``abg`` holds alpha, beta and gamma as rows of one read-only array, and
+    ``abg`` holds alpha, beta and gamma as rows of one read-only array,
     ``blocks`` the reference-interval matrices whose leading blocks do not
-    depend on their size, and ``bands`` those of ``_bands``; all three grow
-    by doubling when a larger size is asked for.  ``table`` is the shared
-    linearization table.  All four fill on first use.  Registering the name
-    again replaces the object, and with it every cache.
+    depend on their size, ``bands`` those of ``_bands`` and ``points`` the
+    member values of ``_point_rows``; all four grow by doubling when a
+    larger size is asked for, and ``points`` drops its oldest entries to
+    stay within POINT_BUDGET bytes.  ``table`` is the shared linearization
+    table.  All five fill on first use.  Registering the name again
+    replaces the object, and with it every cache.
     """
 
     def __init__(self, name, recurrence):
@@ -70,6 +73,8 @@ class _Family:
         self.abg = np.zeros((3, 0))
         self.blocks: dict[str, np.ndarray] = {}
         self.bands: tuple[int, list] | None = None
+        self.points: dict[tuple, np.ndarray] = {}
+        self.point_bytes = 0
         self.table: LinearizationTable | None = None
 
     def coefficients(self, n: int):
@@ -184,13 +189,7 @@ class Series:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=float, copy=True)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coefficients must be a nonempty 1-D array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coefficients must be finite")
-        arr.flags.writeable = False
-        self.coeffs = arr
+        self.coeffs = _frozen(np.array(self.coeffs, dtype=float, copy=True))
 
     def __len__(self):
         return self.coeffs.size
@@ -202,6 +201,26 @@ class Series:
 
     def __call__(self, xs):
         return evaluate(self, xs)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, checked as Series coefficients and made read-only in place."""
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("coefficients must be a nonempty 1-D array")
+    if not np.isfinite(arr).all():
+        raise ValueError("coefficients must be finite")
+    arr.flags.writeable = False
+    return arr
+
+
+def _owned(basis: BasisSpec, arr: np.ndarray) -> Series:
+    """A Series over ``arr`` without a copy, for a float array no caller holds.
+
+    The checks are those of ``Series``: an overflow to inf still raises.
+    """
+    s = Series.__new__(Series)
+    s.basis, s.coeffs = basis, _frozen(arr)
+    return s
 
 
 def _check_same_basis(p: Series, q: Series) -> None:
@@ -262,21 +281,64 @@ def _member_sum(p, members):
     return acc
 
 
+def _point_rows(basis: BasisSpec, x: np.ndarray, count: int) -> np.ndarray:
+    """Read-only P*_0(x), ..., P*_{m-1}(x) for some m >= count, kept on the family.
+
+    Row j holds P*_j at every entry of x.  The rows are the values of
+    ``_member_values``, on Python floats for a 0-d x, and are kept under
+    the domain and the shape and bytes of x, so -0.0 and 0.0 are two
+    points.  A longer request recomputes at double the length; the step
+    runs forward, so the longer rows start with the same bits.  The
+    oldest entries go first when the family's rows would pass POINT_BUDGET
+    bytes, and rows that alone exceed it are computed but not kept.
+    """
+    fam = _FAMILIES[basis.family]
+    key = (basis.domain, x.shape, x.tobytes())
+    rows = fam.points.get(key)
+    if rows is not None and rows.shape[0] >= count:
+        return rows
+    have = 0 if rows is None else rows.shape[0]
+    size = max(count, 2 * have)
+    if size * x.nbytes > POINT_BUDGET:
+        size = count
+    if x.ndim == 0:
+        z = basis.c1 * float(x) + basis.c2
+        rows = np.fromiter(_member_values(basis, z, size), float, size)
+    else:
+        rows = np.empty((size,) + x.shape)
+        for j, pj in enumerate(_member_values(basis, basis.c1 * x + basis.c2, size)):
+            rows[j] = pj
+    rows.flags.writeable = False
+    if rows.nbytes <= POINT_BUDGET:
+        if have:
+            fam.point_bytes -= fam.points.pop(key).nbytes
+        while fam.point_bytes + rows.nbytes > POINT_BUDGET:
+            fam.point_bytes -= fam.points.pop(next(iter(fam.points))).nbytes
+        fam.points[key] = rows
+        fam.point_bytes += rows.nbytes
+    return rows
+
+
 def basis_row(basis: BasisSpec, x: float, n: int) -> np.ndarray:
-    """Values [P*_0(x), ..., P*_{n-1}(x)] of the shifted members at one point."""
+    """Values [P*_0(x), ..., P*_{n-1}(x)] of the shifted members at one point.
+
+    A writable copy of the family's cached values at x (``_point_rows``).
+    """
     if n < 1:
         raise ValueError("need at least one basis member")
-    z = basis.c1 * float(x) + basis.c2
-    return np.fromiter(_member_values(basis, z, n), float, n)
+    return _point_rows(basis, np.asarray(float(x)), n)[:n].copy()
 
 
 def evaluate(series: Series, xs):
-    """Evaluate a Series by the forward three term recursion.
+    """Evaluate a Series from the member values at its points.
 
     Accepts a scalar or an array of points and returns values of matching
-    shape.  A single point runs on Python floats (see ``_recurrence``),
-    with the same operations and bits as one entry of an array of points.
-    Points outside the basis domain are evaluated anyway but raise an
+    shape, a Python float for a scalar.  The member values come from the
+    family's cache (``_point_rows``), so points seen before cost no
+    recurrence.  ``np.cumsum`` adds the terms c_j P*_j(x) in index order,
+    the order of ``_member_sum``, bit for bit; a sum over rows larger than
+    POINT_BUDGET streams through ``_member_sum`` instead.  Points outside
+    the basis domain are evaluated anyway but raise an
     ExtrapolationWarning.
     """
     basis = series.basis
@@ -290,10 +352,11 @@ def evaluate(series: Series, xs):
         warnings.warn(
             f"evaluation points outside [{a_dom}, {b_dom}]",
             ExtrapolationWarning, stacklevel=2)
-    if x.ndim == 0:
-        z = basis.c1 * float(x) + basis.c2
-        return _member_sum(coeffs.tolist(), _member_values(basis, z, coeffs.size))
-    return _member_sum(coeffs, _member_values(basis, basis.c1 * x + basis.c2, coeffs.size))
+    if x.ndim and coeffs.size * x.nbytes > POINT_BUDGET:
+        return _member_sum(coeffs, _member_values(basis, basis.c1 * x + basis.c2, coeffs.size))
+    rows = _point_rows(basis, x, coeffs.size)[: coeffs.size]
+    total = np.cumsum(coeffs.reshape((-1,) + (1,) * x.ndim) * rows, axis=0)[-1]
+    return float(total) if x.ndim == 0 else total
 
 
 def _mul_x_matrix(alpha, beta, gamma, a: np.ndarray) -> np.ndarray:
@@ -410,7 +473,7 @@ def _through_support(s: Series) -> Series:
     Its value anywhere on the domain is the value of s but for the sign of
     a zero: the cut terms are signed zeros, and x + (+-0.0) = x for x != 0.
     """
-    return Series(s.basis, s.coeffs[: max(1, _support(s.coeffs))])
+    return _owned(s.basis, s.coeffs[: max(1, _support(s.coeffs))])
 
 
 def product(p: Series, q: Series) -> Series:
@@ -444,7 +507,7 @@ def product(p: Series, q: Series) -> Series:
         for j, diagonals in enumerate(_bands(p.basis, hi)[1:m], start=1):
             for d, diag in diagonals:
                 c[j + d : hi + d] += w[j, j:hi] * diag[j:hi]
-        return Series(p.basis, c)
+        return _owned(p.basis, c)
     js, iis = np.nonzero(np.triu(w)[1:])
     js += 1
     row = linearization_table(p.basis.family).row
@@ -460,4 +523,4 @@ def product(p: Series, q: Series) -> Series:
         vals = np.concatenate([r[1] for r in chunk])
         np.add.at(c, idx, np.repeat(weights[start:stop], sizes[start:stop]) * vals)
         start = stop
-    return Series(p.basis, c)
+    return _owned(p.basis, c)

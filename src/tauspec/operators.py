@@ -27,6 +27,7 @@ from .basis import (
     _member_sum,
     _member_values,
     _mul_x_matrix,
+    _owned,
     _recurrence,
     _through_support,
     basis_row,
@@ -247,7 +248,8 @@ class WorkingSize:
             if k not in powers:
                 step = (basis.c1 * differentiation_matrix(basis, n) if sign > 0
                         else integration_matrix(basis, n) / basis.c1)
-                powers[k] = _read_only(step @ powers[k - sign])
+                # step @ I is step with -0.0 made +0.0, which step + 0.0 does
+                powers[k] = _read_only(step + 0.0 if k == sign else step @ powers[k - sign])
         return powers[order]
 
 
@@ -304,7 +306,8 @@ def volterra_operator(store: WorkingSize, kernel: KernelPoly, lower: float) -> n
         if not col.any():
             continue
         b = _member_sum(k[:, j], pm) - np.outer(col, row_lo)
-        acc += b @ os @ pj
+        # P_0(J) = I: acc starts at +0.0, so b @ os adds the same bits as b @ os @ I
+        acc += b @ os if j == 0 else b @ os @ pj
     return acc
 
 
@@ -354,7 +357,7 @@ def series_derivative(series: Series) -> Series:
     """Exact derivative of a Series on its working interval."""
     n = series.coeffs.size
     dn = differentiation_matrix(series.basis, n)
-    return Series(series.basis, series.basis.c1 * (dn @ series.coeffs))
+    return _owned(series.basis, series.basis.c1 * (dn @ series.coeffs))
 
 
 def series_antiderivative(series: Series) -> Series:
@@ -368,7 +371,7 @@ def series_antiderivative(series: Series) -> Series:
     om = integration_matrix(series.basis, n + 1)
     padded = np.zeros(n + 1)
     padded[:n] = series.coeffs
-    return Series(series.basis, (om @ padded) / series.basis.c1)
+    return _owned(series.basis, (om @ padded) / series.basis.c1)
 
 
 def apply_order(series: Series, order: int) -> Series:
@@ -400,11 +403,11 @@ def volterra_apply(kernel: KernelPoly, lower: float, series: Series) -> Series:
         anchored[0] -= evaluate(_through_support(g), lower)
         e_i = np.zeros(i + 1)
         e_i[i] = 1.0
-        pieces.append(product(Series(basis, e_i), Series(basis, anchored)).coeffs)
+        pieces.append(product(_owned(basis, e_i), _owned(basis, anchored)).coeffs)
     out = np.zeros(max((piece.size for piece in pieces), default=1))
     for piece in pieces:
         out[: piece.size] += piece
-    return Series(basis, out)
+    return _owned(basis, out)
 
 
 def fredholm_apply(kernel: KernelPoly, series: Series) -> Series:
@@ -414,4 +417,4 @@ def fredholm_apply(kernel: KernelPoly, series: Series) -> Series:
         head = _through_support(g)
         at_a, at_b = (evaluate(head, x) for x in kernel.basis.domain)
         out[i] = at_b - at_a
-    return Series(kernel.basis, out)
+    return _owned(kernel.basis, out)

@@ -61,7 +61,7 @@ def test_import_fills_no_cache():
         "import tauspec\n"
         "from tauspec.basis import _FAMILIES\n"
         "print(all(f.abg.size == 0 and not f.blocks and f.bands is None\n"
-        "          and f.table is None\n"
+        "          and not f.points and f.point_bytes == 0 and f.table is None\n"
         "          for f in _FAMILIES.values()))\n")
     # the child imports the same tauspec as this process, installed or not
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -137,6 +137,145 @@ def test_basis_row(family, domain):
         unit[j] = 1.0
         want = float(oracles.eval_oracle(family, domain, unit, x))
         assert abs(row[j] - want) < 1e-12
+
+
+def _register_copy(family: str, name: str) -> str:
+    """A new family with ``family``'s recurrence, so its caches start empty."""
+    ts.register_family(name, ts.basis._FAMILIES[family].recurrence)
+    return name
+
+
+# inside both domains below; -0.0 and 0.0 differ on [-1, 1], where c2 = -0.0,
+# and two arrays share their bytes but not their shape
+POINTS = [0.0, -0.0, 1.0, -0.3, np.linspace(-1.0, 1.0, 7), np.linspace(-1.0, 1.0, 6),
+          np.linspace(-1.0, 1.0, 6).reshape(2, 3), np.zeros(0), np.zeros((2, 0))]
+
+
+def _point_calls(names):
+    """evaluate and basis_row calls over families, domains, points and lengths.
+
+    The lengths rise past double, rise by less than double and fall, so
+    a point's cached rows are made, regrown by doubling and read short.
+    """
+    rng = np.random.default_rng(12)
+    calls = []
+    for name in names:
+        for domain in ((-1.0, 1.0), (-1.0, 1.5)):
+            basis = ts.BasisSpec(name, domain)
+            for x in POINTS:
+                for n in (3, 40, 50, 7, 130, 261):
+                    calls.append(("evaluate", ts.Series(basis, rng.standard_normal(n)), x))
+                    if np.ndim(x) == 0:
+                        calls.append(("basis_row", basis, x, n))
+    return calls
+
+
+def _point_call(call):
+    if call[0] == "evaluate":
+        return np.asarray(ts.evaluate(*call[1:]))
+    return ts.basis_row(*call[1:])
+
+
+def _reference_call(call):
+    if call[0] == "evaluate":
+        return np.asarray(references.evaluate(*call[1:]))
+    return references.basis_row(*call[1:])
+
+
+@pytest.mark.parametrize("order, budget", [
+    ("forward", None), ("reversed", None), ("shuffled", None),
+    ("evicted", 16_000),  # some rows kept, the oldest dropped all along
+    ("uncached", 64),  # arrays stream; only scalar rows of up to 8 values are kept
+])
+def test_point_values_do_not_depend_on_call_order(monkeypatch, order, budget):
+    """Cold, grown, evicted and interleaved point rows give the loop's bytes."""
+    if budget is not None:
+        monkeypatch.setattr(ts.basis, "POINT_BUDGET", budget)
+    names = [_register_copy(f, f"Order{f}") for f in FAMILIES]
+    calls = _point_calls(names)
+    if order == "reversed":
+        calls.reverse()
+    elif order != "forward":
+        calls = [calls[i] for i in np.random.default_rng(13).permutation(len(calls))]
+    for call in calls:
+        got = _point_call(call)
+        assert got.shape == np.shape(call[2]) or call[0] == "basis_row"
+        assert got.tobytes() == _reference_call(call).tobytes(), call
+    for name in names:
+        fam = ts.basis._FAMILIES[name]
+        assert fam.point_bytes == sum(r.nbytes for r in fam.points.values())
+        assert fam.point_bytes <= ts.basis.POINT_BUDGET
+        assert all(not r.flags.writeable for r in fam.points.values())
+
+
+def test_signed_zero_points_are_two_points():
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        basis = ts.BasisSpec(_register_copy(ts.LEGENDRE, "ZeroLegendre"))
+        for x in (first, second):  # P_1 = z = c1 * x + c2, c2 = -0.0
+            assert np.float64(ts.basis_row(basis, x, 4)[1]).tobytes() == np.float64(x).tobytes()
+            s = ts.Series(basis, [-0.0, 1.0])  # -0.0 * P_0 + z
+            assert np.float64(ts.evaluate(s, x)).tobytes() == np.float64(x).tobytes()
+    # a domain end's zero sign changes neither c1 nor c2, so it shares the rows
+    a, b = ts.BasisSpec("ZeroLegendre", (0.0, 1.0)), ts.BasisSpec("ZeroLegendre", (-0.0, 1.0))
+    assert (a.c1, a.c2) == (b.c1, b.c2)
+    assert ts.basis_row(a, 0.25, 9).tobytes() == ts.basis_row(b, 0.25, 9).tobytes()
+
+
+def test_point_rows_grow_by_doubling_and_copy_out():
+    name = _register_copy(ts.CHEBYSHEV, "GrowChebyshev")
+    fam = ts.basis._FAMILIES[name]
+    basis = ts.BasisSpec(name, (0.0, 2.0))
+    grid = np.linspace(0.0, 2.0, 5)
+    key = ((0.0, 2.0), (5,), grid.tobytes())
+    for n, kept in ((10, 10), (12, 20), (20, 20), (3, 20), (45, 45)):
+        ts.evaluate(ts.Series(basis, np.ones(n)), grid)
+        assert fam.points[key].shape == (kept, 5)
+    assert list(fam.points) == [key]
+    row = ts.basis_row(basis, 0.5, 6)
+    row[:] = 7.0  # a copy: the cached rows are read-only and unchanged
+    assert ts.basis_row(basis, 0.5, 6).tobytes() == references.basis_row(basis, 0.5, 6).tobytes()
+    cached = fam.points[((0.0, 2.0), (), np.float64(0.5).tobytes())]
+    with pytest.raises(ValueError):
+        cached[0] = 1.0
+
+
+def test_point_cache_holds_its_budget(monkeypatch):
+    """Oldest rows go first; rows larger than the budget are computed, not kept."""
+    assert ts.basis.POINT_BUDGET == 32 * 2**20
+    monkeypatch.setattr(ts.basis, "POINT_BUDGET", 10_000)
+    name = _register_copy(ts.LEGENDRE, "BudgetLegendre")
+    fam = ts.basis._FAMILIES[name]
+    basis = ts.BasisSpec(name, (0.0, 1.0))
+    for k in range(40):
+        ts.basis_row(basis, k / 40, 100)  # 800 bytes each
+        assert fam.point_bytes == sum(r.nbytes for r in fam.points.values()) <= 10_000
+    assert [key[2] for key in fam.points] == [np.float64(k / 40).tobytes() for k in range(28, 40)]
+    grid = np.linspace(0.0, 1.0, 20)
+    s = ts.Series(basis, np.ones(100))  # 100 x 20 values, 16,000 bytes
+    assert ts.evaluate(s, grid).tobytes() == references.evaluate(s, grid).tobytes()
+    long = ts.basis_row(basis, 0.5, 2000)  # 16,000 bytes
+    assert long.tobytes() == references.basis_row(basis, 0.5, 2000).tobytes()
+    assert len(fam.points) == 12 and fam.point_bytes == 9_600
+
+
+def test_package_series_keep_the_checks_without_the_copy():
+    basis = ts.BasisSpec(ts.CHEBYSHEV)
+    arr = np.array([1.0, 2.0])
+    s = ts.Series(basis, arr)
+    arr[0] = 5.0  # the public constructor copies
+    assert s.coeffs[0] == 1.0 and arr.flags.writeable
+    big = ts.Series(basis, [1e200])
+    tiny = ts.BasisSpec(ts.CHEBYSHEV, (0.0, 1e-300))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            ts.product(big, big)
+        with pytest.raises(ValueError, match="finite"):
+            ts.series_derivative(ts.Series(tiny, [0.0, 1e300]))
+    made = [ts.product(s, s), ts.series_derivative(s), ts.series_antiderivative(s),
+            ts.basis._through_support(ts.Series(basis, [1.0, 0.0]))]
+    for m in made:
+        with pytest.raises(ValueError):
+            m.coeffs[0] = 1.0
 
 
 def test_product_hand_cases():
@@ -407,17 +546,21 @@ def test_linearization_rows_do_not_depend_on_lookup_order():
 
 
 def test_reregistered_family_drops_its_caches():
-    """The band store (thin products) and the table (pair products) both go."""
+    """The band store (thin products), the table (pair products) and the point rows go."""
     ts.register_family("Fam", lambda j: (1.0, 0.0, 0.0))
     basis = ts.BasisSpec("Fam")
     t1 = ts.Series(basis, [0.0, 1.0])
+    t2 = ts.Series(basis, [0.0, 0.0, 1.0])
     t5 = ts.Series(basis, np.eye(6)[5])
     long = ts.Series(basis, np.eye(12)[9])
     npt.assert_array_equal(ts.product(t1, t1).coeffs, [0.0, 0.0, 1.0])
     npt.assert_array_equal(ts.product(t1, long).coeffs, np.eye(23)[10])
     npt.assert_array_equal(ts.product(t5, t5).coeffs, np.eye(11)[10])
+    assert ts.evaluate(t2, 0.5) == 0.25 and ts.basis_row(basis, 0.5, 3)[2] == 0.25
     ts.register_family("Fam", lambda j: (1.0, 0.0, 0.0) if j == 0 else (0.5, 0.0, 0.5))
     assert ts.basis._FAMILIES["Fam"].bands is None
+    assert not ts.basis._FAMILIES["Fam"].points
+    assert ts.evaluate(t2, 0.5) == -0.5 and ts.basis_row(basis, 0.5, 3)[2] == -0.5
     npt.assert_array_equal(ts.product(t1, t1).coeffs, [0.5, 0.0, 0.5])
     npt.assert_array_equal(ts.product(t1, long).coeffs, (np.eye(23)[8] + np.eye(23)[10]) / 2)
     npt.assert_array_equal(ts.product(t5, t5).coeffs, (np.eye(11)[0] + np.eye(11)[10]) / 2)

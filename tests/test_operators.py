@@ -227,6 +227,32 @@ def test_recurrence_users_match_the_step_loops_byte_for_byte(family):
     assert (126, 135) in table._cache and set(climbs) == {0, 2, 7, 130, 135}
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_point_values_match_the_step_loop_past_the_first_cache_size(family):
+    """Cached point values regrown past their first length keep the loop's bytes.
+
+    A 2-D grid, one point of it as a scalar and the member rows there are
+    asked for at rising, falling and rising lengths on a fresh family, so
+    the cache starts short and regrows three times.
+    """
+    name = f"PointCopy{family}"
+    ts.register_family(name, RECURRENCES[family])
+    rng = np.random.default_rng(9)
+    for domain in [(-1.0, 1.0), (0.0, 2.5)]:
+        basis = ts.BasisSpec(name, domain)
+        grid = np.linspace(*domain, 12).reshape(3, 4)
+        for n in (5, 70, 3, 300, 650, 11):
+            series = ts.Series(basis, rng.standard_normal(n))
+            assert (ts.evaluate(series, grid).tobytes()
+                    == references.evaluate(series, grid).tobytes())
+            assert (np.float64(ts.evaluate(series, grid[1, 2])).tobytes()
+                    == np.float64(references.evaluate(series, grid[1, 2])).tobytes())
+            assert (ts.basis_row(basis, grid[2, 1], n).tobytes()
+                    == references.basis_row(basis, grid[2, 1], n).tobytes())
+        rows = ts.basis._FAMILIES[name].points[(domain, (3, 4), grid.tobytes())]
+        assert rows.shape == (650, 3, 4)  # lengths 5, 70, 300 and 650: each past double
+
+
 def test_cached_matrices_are_read_only():
     basis = ts.BasisSpec(ts.CHEBYSHEV)
     for build in (ts.integration_matrix, ts.differentiation_matrix):
@@ -260,16 +286,19 @@ def test_volterra_operator_exact_on_low_degree(family):
 def test_volterra_operator_bytes_match_per_column_build(family):
     """Building the x-side members once changes no bit of the operator."""
     rng = np.random.default_rng(41)
-    basis = ts.BasisSpec(family, (-0.5, 1.5))
-    for nx, nt, n in [(2, 3, 10), (3, 7, 16), (4, 20, 24), (2, 1, 5), (5, 12, 12)]:
-        k = rng.standard_normal((nx, nt))
-        k[:, rng.integers(0, nt)] = 0.0  # a zero column is skipped
-        if nt > 2:
-            k[0, 1] = 0.0
-        kernel = ts.KernelPoly(basis, k)
-        got = ts.volterra_operator(ts.WorkingSize(basis, n), kernel, 0.25)
-        want = references.per_column_volterra_operator(kernel, 0.25, n)
-        assert got.tobytes() == want.tobytes()
+    # [-1, 1] has c2 = -0.0, so the first column's product with P_0(J) = I,
+    # which is skipped, meets signed zeros
+    for basis in (ts.BasisSpec(family, (-0.5, 1.5)), ts.BasisSpec(family)):
+        for nx, nt, n in [(2, 3, 10), (3, 7, 16), (4, 20, 24), (2, 1, 5), (5, 12, 12),
+                          (1, 1, 1), (3, 2, 40)]:
+            k = rng.standard_normal((nx, nt))
+            k[:, rng.integers(0, nt)] = 0.0  # a zero column is skipped
+            if nt > 2:
+                k[0, 1] = 0.0
+            kernel = ts.KernelPoly(basis, k)
+            got = ts.volterra_operator(ts.WorkingSize(basis, n), kernel, 0.25)
+            want = references.per_column_volterra_operator(kernel, 0.25, n)
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -299,14 +328,15 @@ def test_a_shared_member_store_changes_no_bit(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_store_powers_match_the_plain_loop(family):
-    basis = ts.BasisSpec(family, (-0.5, 1.5))
-    n = 12
-    store = ts.WorkingSize(basis, n)
-    plain = references.calculus_powers(basis, n)
-    for order in (2, -3, 3, 0, -1, 1, -2):
-        got = store.power(order)
-        assert got.tobytes() == plain(order).tobytes()
-        assert store.power(order) is got and not got.flags.writeable
+    """The first power, step + 0.0, has the bytes of step @ I, signed zeros too."""
+    for basis in (ts.BasisSpec(family, (-0.5, 1.5)), ts.BasisSpec(family)):
+        for n in (12, 1, 33):
+            store = ts.WorkingSize(basis, n)
+            plain = references.calculus_powers(basis, n)
+            for order in (2, -3, 3, 0, -1, 1, -2):
+                got = store.power(order)
+                assert got.tobytes() == plain(order).tobytes()
+                assert store.power(order) is got and not got.flags.writeable
 
 
 def test_member_store_is_checked_against_basis_and_size():
