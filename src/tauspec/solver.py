@@ -15,13 +15,16 @@ dense LU factorization with partial pivoting.
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .basis import Series, _through_support, basis_row, evaluate, product
 from .errors import (
@@ -219,30 +222,64 @@ def assemble(spec: ProblemSpec, store: ops.WorkingSize | None = None) -> TauSyst
     return TauSystem(a, b, row_map, col_of)
 
 
+def _load_lapack():
+    """scipy's compiled LAPACK module, loaded without the ``scipy.linalg`` package.
+
+    ``lu_factor`` and ``lu_solve`` call ``dgetrf`` and ``dgetrs`` from this
+    extension, so calling them here gives the same factors and solutions
+    bit for bit.  ``import scipy.linalg`` would run the package's
+    ``__init__``, whose imports would take most of a cold CLI start.  The module
+    is registered under its own name, so an ``import scipy.linalg``
+    before or after this one shares the same object.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = find_spec("scipy")  # locates the package without importing it
+    spec = None
+    for root in scipy.submodule_search_locations if scipy else ():
+        finder = FileFinder(os.path.join(root, "linalg"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        if spec is not None:
+            break
+    if spec is None:
+        raise ImportError("tauspec needs scipy: its LAPACK extension "
+                          f"{name} was not found", name="scipy")
+    module = module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_lapack = _load_lapack()
+
+
 def solve_linear(system: TauSystem) -> tuple[np.ndarray, dict]:
     """LU solve with partial pivoting, a pivot-based singularity check, and a finite result."""
     a, b = system.matrix, system.rhs
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    with warnings.catch_warnings():
-        # the pivot check below reports exact singularity itself
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    if not a.size:
+        # LAPACK's wrappers reject empty arrays; an empty system has an empty solution
+        return np.zeros(0), {"pivot_min": 0.0, "pivot_max": 0.0, "matrix_scale": 1.0}
+    scale = max(1.0, float(np.max(np.abs(a))))
+    # an exact zero pivot comes back through info; the pivot check below catches it
+    lu, piv, _ = _lapack.dgetrf(a)
     pivots = np.abs(np.diag(lu))
     threshold = PIVOT_FLOOR * np.finfo(float).eps * scale
-    worst = int(np.argmin(pivots)) if pivots.size else 0
-    if pivots.size and pivots[worst] < threshold:
+    worst = int(np.argmin(pivots))
+    if pivots[worst] < threshold:
         origin = system.row_map[worst] if worst < len(system.row_map) else None
         raise SingularSystemError(
             f"system numerically singular: pivot {pivots[worst]:.3e} below "
             f"{threshold:.3e} at elimination step {worst} (near row {origin})")
-    x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    x, _ = _lapack.dgetrs(lu, piv, b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(
             "system numerically singular: the solve gave non-finite "
             "coefficients although no pivot fell below the threshold")
     diagnostics = {
-        "pivot_min": float(pivots.min()) if pivots.size else 0.0,
-        "pivot_max": float(pivots.max()) if pivots.size else 0.0,
+        "pivot_min": float(pivots.min()),
+        "pivot_max": float(pivots.max()),
         "matrix_scale": scale,
     }
     return x, diagnostics

@@ -3,11 +3,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import tauspec as ts
 from tauspec.cli import main, render_rows
@@ -298,13 +300,63 @@ def test_malformed_shapes_exit_one_with_their_location(tmp_path, capsys, name, m
 
 def test_non_finite_linear_solve_exits_three(monkeypatch, capsys):
     """An overflowing solve is a singular system, not bad input."""
-    def overflowing(lu_and_piv, b, **kwargs):
-        return np.full_like(b, np.inf)
+    def overflowing(lu, piv, b, **kwargs):
+        return np.full_like(b, np.inf), 0
 
-    monkeypatch.setattr(scipy.linalg, "lu_solve", overflowing)
+    monkeypatch.setattr(ts.solver._lapack, "dgetrs", overflowing)
     code, _, err = run(capsys, "solve", "exp-ode")
     assert code == 3
     assert "non-finite" in err
+
+
+def fresh_python(probe, *args):
+    """Run a probe in a fresh interpreter that imports the same tauspec as this process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", probe, *args], capture_output=True,
+                          text=True, check=True, env=env).stdout
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    probe = "import sys, tauspec.cli; print('scipy.linalg' in sys.modules)"
+    assert fresh_python(probe).strip() == "False"
+
+
+def test_import_without_scipy_names_scipy():
+    probe = ("import sys\n"
+             "sys.modules['scipy'] = None  # scipy cannot be found\n"
+             "try:\n"
+             "    import tauspec\n"
+             "except ImportError as exc:\n"
+             "    print(exc.name, exc)\n")
+    out = fresh_python(probe)
+    assert out.startswith("scipy ") and "tauspec needs scipy" in out
+
+
+SCIPY_LINALG_PROBE = """
+import sys
+import numpy as np
+if sys.argv[1] == "before":
+    import scipy.linalg
+from tauspec import solver
+from tauspec.cli import main
+for name in ("exp-ode", "example2"):
+    assert main(["solve", name, "--format", "json"]) == 0
+if sys.argv[1] == "after":
+    import scipy.linalg
+a = np.array([[1.0, 2.0], [3.0, 4.0]])
+x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), np.array([5.0, 6.0]))
+assert np.allclose(a @ x, [5.0, 6.0])
+assert scipy.linalg.lapack._flapack is solver._lapack
+"""
+
+
+def test_scipy_linalg_shares_the_lapack_module_in_either_import_order(capsys):
+    """scipy.linalg imported before or after tauspec: one LAPACK module, the same bytes."""
+    before, after = (fresh_python(SCIPY_LINALG_PROBE, order) for order in ("before", "after"))
+    assert before == after
+    documents = [run(capsys, "solve", name, "--format", "json")[1]
+                 for name in ("exp-ode", "example2")]
+    assert before == "".join(documents)
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,6 @@ from importlib import resources
 import numpy as np
 import numpy.testing as npt
 import pytest
-import scipy.linalg
 
 import tauspec as ts
 from tauspec.problem import Kind
@@ -132,10 +131,16 @@ def test_solve_linear_flags_singular_system():
 
 def test_solve_linear_rejects_a_non_finite_solution(monkeypatch):
     system = ts.assemble(ts.parse_problem(builtin("exp-ode")))
-    monkeypatch.setattr(scipy.linalg, "lu_solve",
-                        lambda lu_and_piv, b, **kwargs: np.full_like(b, np.nan))
+    monkeypatch.setattr(ts.solver._lapack, "dgetrs",
+                        lambda lu, piv, b, **kwargs: (np.full_like(b, np.nan), 0))
     with pytest.raises(ts.SingularSystemError, match="non-finite"):
         ts.solve_linear(system)
+
+
+def test_empty_system_has_an_empty_solution():
+    x, diagnostics = ts.solve_linear(ts.TauSystem(np.zeros((0, 0)), np.zeros(0), [], {}))
+    assert x.shape == (0,) and x.dtype == np.float64
+    assert diagnostics == {"pivot_min": 0.0, "pivot_max": 0.0, "matrix_scale": 1.0}
 
 
 def test_exponential_ode_to_machine_precision():
