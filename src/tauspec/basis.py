@@ -395,24 +395,45 @@ class LinearizationTable:
 
     with x * (P_k P_j) re-expanded by the banded multiplication by x.  Each
     unfinished climb is a live recurrence at width 2j + 1, resumed where
-    it stopped, so a run of lookups costs one step per new row.
+    it stopped, so a run of lookups costs one step per new row, and row
+    (k, j) is stored only once rows (0, j) .. (k - 1, j) are.
+
+    Every row is stored once, in one packed store: its nonzero positions
+    and values sit at ``_idx[s:s + c]`` and ``_val[s:s + c]``, with s and
+    c in ``_start[k, j]`` and ``_count[k, j]``.  The four arrays grow by
+    doubling; ``_cache`` maps each stored key (k, j), k <= j, to its
+    slice, which ``row`` takes of the read-only views ``_views`` of
+    ``_idx`` and ``_val``.  ``product`` gathers many rows at once from the
+    store.
     """
 
     def __init__(self, family: str):
         self.family = resolve_family(family)
         self._basis = BasisSpec(self.family)
-        self._cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._cache: dict[tuple[int, int], slice] = {}
         self._climbs: dict[int, Iterator[tuple[int, np.ndarray]]] = {}
+        self._idx = np.zeros(0, dtype=np.intp)
+        self._val = np.zeros(0)
+        self._size = 0
+        self._reserve(0)
+        self._start = np.zeros((0, 0), dtype=np.intp)
+        self._count = np.zeros((0, 0), dtype=np.intp)
 
     def row(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nonzero positions and values of the expansion of P_i * P_j."""
+        """Nonzero positions and values of the expansion of P_i * P_j.
+
+        Read-only views of the store.
+        """
         if i < 0 or j < 0:
             raise ValueError("linearization indices must be nonnegative")
         if i > j:
             i, j = j, i
-        while (i, j) not in self._cache:
+        key = (i, j)
+        while key not in self._cache:
             self._climb(j)
-        return self._cache[(i, j)]
+        at = self._cache[key]
+        idx, vals = self._views
+        return idx[at], vals[at]
 
     def _climb(self, j: int) -> None:
         """Store the next row P_k * P_j of the climb for this j."""
@@ -424,11 +445,39 @@ class LinearizationTable:
             climb = enumerate(_recurrence(
                 self._basis, e_j, _j_minus_beta(self._basis, width), j + 1))
             self._climbs[j] = climb
+            self._cover(j + 1)
         k, curr = next(climb)
         if k == j:  # rows past k = j are never asked for
             del self._climbs[j]
         idx = np.nonzero(curr[:, 0])[0]
-        self._cache[(k, j)] = (idx, curr[idx, 0])
+        lo, hi = self._size, self._size + idx.size
+        if hi > self._idx.size:
+            self._reserve(max(hi, 2 * self._idx.size))
+        self._idx[lo:hi], self._val[lo:hi] = idx, curr[idx, 0]
+        self._start[k, j], self._count[k, j] = lo, idx.size
+        self._size = hi
+        self._cache[(k, j)] = slice(lo, hi)
+
+    def _reserve(self, size: int) -> None:
+        """Grow ``_idx`` and ``_val`` to ``size`` entries, with new views for ``row``."""
+        lo = self._size
+        self._idx, self._val = _grown(self._idx[:lo], size), _grown(self._val[:lo], size)
+        self._views = self._idx.view(), self._val.view()
+        for view in self._views:
+            view.flags.writeable = False
+
+    def _cover(self, width: int) -> None:
+        """Grow ``_start`` and ``_count`` to hold the climbs j < width."""
+        if width > self._start.shape[0]:
+            size = max(width, 2 * self._start.shape[0])
+            self._start, self._count = _grown(self._start, size), _grown(self._count, size)
+
+
+def _grown(arr: np.ndarray, size: int) -> np.ndarray:
+    """Zeros of ``size`` along every axis of ``arr``, with ``arr`` in the leading corner."""
+    out = np.zeros((size,) * arr.ndim, dtype=arr.dtype)
+    out[tuple(slice(0, s) for s in arr.shape)] = arr
+    return out
 
 
 def linearization_table(family: str) -> LinearizationTable:
@@ -488,8 +537,13 @@ def product(p: Series, q: Series) -> Series:
     For j >= 1 each coefficient sums its terms in (j, i) order: if
     m <= BAND_TERMS, as weighted slices of the diagonals d = j .. -j of
     P_j(J) (``_bands``), j ascending and d descending, whose zeros add
-    +-0.0 to sums that start at +0.0; otherwise as the pairs' table rows,
-    in one ordered scatter per chunk of at most (n + 1)^2 entries.
+    +-0.0 to sums that start at +0.0; otherwise as the pairs' table rows.
+    One ``row`` lookup per column i with a nonzero weight, at its deepest
+    such j, stores climb i through every pair of that column.  The rows
+    are then gathered from the table's packed store, in the (j, i) order
+    of one lookup per pair, and added in one ordered ``np.add.at`` per
+    chunk of at most (n + 1)^2 entries, so every coefficient sums the
+    same terms in the same order as the pair loop, bit for bit.
     """
     _check_same_basis(p, q)
     n = max(p.coeffs.size, q.coeffs.size) - 1
@@ -500,7 +554,7 @@ def product(p: Series, q: Series) -> Series:
     sa, sb = _support(a), _support(b)
     m, hi = max(min(sa, sb), 1), max(sa, sb)
     c = np.zeros(2 * n + 1)
-    w = np.outer(b[:m], a[:hi]) + np.outer(a[:m], b[:hi])
+    w = b[:m, None] * a[:hi] + a[:m, None] * b[:hi]  # two outer products
     np.fill_diagonal(w, w.diagonal() * 0.5)
     c[:hi] = 0.0 + w[0]  # -0.0 becomes +0.0, as a scatter onto zeros leaves it
     if m <= BAND_TERMS:
@@ -508,19 +562,22 @@ def product(p: Series, q: Series) -> Series:
             for d, diag in diagonals:
                 c[j + d : hi + d] += w[j, j:hi] * diag[j:hi]
         return _owned(p.basis, c)
-    js, iis = np.nonzero(np.triu(w)[1:])
-    js += 1
-    row = linearization_table(p.basis.family).row
-    rows = [row(i, j) for j, i in zip(js.tolist(), iis.tolist())]
-    sizes = np.fromiter((r[0].size for r in rows), int, len(rows))
+    table = linearization_table(p.basis.family)
+    live = np.triu(w)[1:] != 0  # row r holds the pairs (r + 1, i)
+    deepest = (live * np.arange(1, m)[:, None]).max(axis=0)  # 0: no live pair
+    cols = np.flatnonzero(deepest)
+    for j, i in zip(deepest[cols].tolist(), cols.tolist()):
+        table.row(j, i)  # stores climb i through every pair of column i
+    table._cover(hi)  # the index arrays span live, though its last columns may hold no pair
+    sizes = table._count[1:m, :hi][live]  # the pairs in (j, i) order
     bounds = np.concatenate([[0], np.cumsum(sizes)])
-    weights = w[js, iis]
+    shifts = table._start[1:m, :hi][live] - bounds[:-1]
+    weights = w[1:][live]
     start = 0
-    while start < len(rows):
+    while start < sizes.size:
         stop = int(np.searchsorted(bounds, bounds[start] + (n + 1) ** 2, side="right")) - 1
-        chunk = rows[start:stop]
-        idx = np.concatenate([r[0] for r in chunk])
-        vals = np.concatenate([r[1] for r in chunk])
-        np.add.at(c, idx, np.repeat(weights[start:stop], sizes[start:stop]) * vals)
+        at = np.repeat(shifts[start:stop], sizes[start:stop])
+        at += np.arange(bounds[start], bounds[stop])
+        np.add.at(c, table._idx[at], np.repeat(weights[start:stop], sizes[start:stop]) * table._val[at])
         start = stop
     return _owned(p.basis, c)

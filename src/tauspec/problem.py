@@ -90,7 +90,7 @@ class TermSpec:
 
     def __post_init__(self):
         facs = tuple((str(v), int(o)) for v, o in self.factors)
-        coeff = tuple(float(c) for c in np.atleast_1d(self.coeff))
+        coeff = tuple(np.atleast_1d(np.asarray(self.coeff, dtype=float)).tolist())
         if not facs:
             raise ValidationError("a term needs at least one factor")
         if len(facs) > 1 and len(coeff) != 1:

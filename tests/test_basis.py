@@ -346,8 +346,19 @@ def _product_factor(rng, kind: int) -> np.ndarray:
 SKEWED = "SkewedBands"
 
 
+def _skewed_recurrence(j):
+    return (0.5, 0.25 / (j + 1), 0.5)
+
+
 def _register_skewed():
-    ts.register_family(SKEWED, lambda j: (0.5, 0.25 / (j + 1), 0.5))
+    ts.register_family(SKEWED, _skewed_recurrence)
+
+
+RECURRENCES = {
+    ts.CHEBYSHEV: ts.basis._chebyshev_recurrence,
+    ts.LEGENDRE: ts.basis._legendre_recurrence,
+    SKEWED: _skewed_recurrence,
+}
 
 
 def _thin_and_long(rng, m: int, kind: int) -> tuple[np.ndarray, np.ndarray]:
@@ -437,37 +448,109 @@ def test_warm_product_scatter_memory_is_bounded():
 
 
 def test_products_keep_looking_up_rows(monkeypatch):
-    """Pair products go through LinearizationTable.row even when warm.
+    """Pair products go through LinearizationTable.row, one hit per column when warm.
 
-    The benchmark's tracer patches that method and counts its lookups, so
-    a pair product that stopped calling it would blind the per-layer
-    metrics.  A thin factor (support at most BAND_TERMS) reads the band
-    store instead and, once the store is wide enough, makes no lookup.
+    The benchmark's tracer patches that method and counts its lookups, and
+    a hit when the key is already in ``_cache``, so a pair product that
+    stopped calling it would blind the per-layer metrics.  A pair product
+    looks up the deepest pair (j, i), j >= 1, of each column i with a
+    nonzero weight, which completes that column's climb; warm, every one
+    is a hit.  Column 5 has no nonzero weight here, and no row below the
+    shorter support 10 is deeper than 9.  A thin factor (support at most
+    BAND_TERMS) reads the band store instead and, once the store is wide
+    enough, makes no lookup.
     """
     assert callable(getattr(ts.LinearizationTable, "row", None))
     calls = []
     original = ts.LinearizationTable.row
 
     def counted(self, i, j):
-        calls.append((i, j))
+        calls.append((i, j, (min(i, j), max(i, j)) in self._cache))
         return original(self, i, j)
 
     monkeypatch.setattr(ts.LinearizationTable, "row", counted)
     rng = np.random.default_rng(2)
     for family in FAMILIES:
         basis = ts.BasisSpec(family)
-        p = ts.Series(basis, rng.standard_normal(16))
-        q = ts.Series(basis, rng.standard_normal(16))
+        a, b = rng.standard_normal(16), np.append(rng.standard_normal(10), np.zeros(3))
+        a[5] = b[5] = 0.0
+        p, q = ts.Series(basis, a), ts.Series(basis, b)
         thin = ts.Series(basis, rng.standard_normal(ts.basis.BAND_TERMS))
         ts.product(p, q)
         ts.product(thin, q)
-        calls.clear()
-        ts.product(p, q)
-        assert len(calls) >= 1
+        for x, y in ((p, q), (q, p)):
+            calls.clear()
+            ts.product(x, y)
+            assert calls == [(min(i, 9), i, True) for i in range(1, 16) if i != 5]
         calls.clear()
         ts.product(thin, q)
         ts.product(q, thin)
         assert calls == []
+
+
+@pytest.mark.parametrize("family", [*FAMILIES, SKEWED])
+def test_store_filled_out_of_order_keeps_every_bit(family):
+    """Rows stored out of order and across regrowths of the packed store keep their bytes.
+
+    On a fresh table, lookups in random order interleave with pair
+    products at rising supports, so climbs stop and resume at many depths
+    and the store and its index arrays regrow several times.  Every
+    product matches the pair loop in both argument orders, with zero and
+    -0.0 weights inside the triangle, and every stored row matches its
+    climb run in one go.
+    """
+    name = f"StoreCopy{family}"
+    ts.register_family(name, RECURRENCES[family])
+    basis = ts.BasisSpec(name, (0.0, 2.0))
+    table = ts.linearization_table(name)
+    rng = np.random.default_rng(47)
+    capacities = set()
+    for hi in (6, 11, 24, 40, 75, 110):
+        for i, j in rng.integers(0, hi + 12, size=(12, 2)).tolist():
+            table.row(i, j)
+        a = rng.standard_normal(hi)
+        a[rng.integers(0, hi, size=hi // 3)] = 0.0
+        a[rng.integers(0, hi, size=hi // 5)] = -0.0
+        b = rng.standard_normal(rng.integers(ts.basis.BAND_TERMS + 1, hi + 1))
+        b[rng.integers(1, b.size, size=b.size // 4)] = 0.0
+        p, q = ts.Series(basis, a), ts.Series(basis, b)
+        for x, y in ((p, q), (q, p)):
+            got = ts.product(x, y).coeffs
+            assert got.tobytes() == references.pair_loop_product(x, y).coeffs.tobytes()
+        capacities.add(table._idx.size)
+    assert len(capacities) >= 3
+    climbs = {}
+    for k, j in list(table._cache):
+        if j not in climbs:
+            climbs[j] = references.linearization_climb(basis, j)
+        idx, vals = table.row(k, j)
+        assert idx.tobytes() == climbs[j][k][0].tobytes()
+        assert vals.tobytes() == climbs[j][k][1].tobytes()
+        assert not (idx.flags.writeable or vals.flags.writeable)
+
+
+def test_cold_product_table_memory_is_bounded():
+    """A cold Legendre n=200 full x full product leaves at most 33 MB of table.
+
+    Its climbs store about 1.4 million row entries, 22 MB as positions
+    and values, each once, in the packed store, which doubles as it grows:
+    about 30 MB in all.  As two numpy arrays per row the same rows hold
+    32 MB, so keeping those arrays besides the store would pass the bound.
+    """
+    name = "ColdLegendre"
+    ts.register_family(name, ts.basis._legendre_recurrence)
+    basis = ts.BasisSpec(name)
+    rng = np.random.default_rng(3)
+    p = ts.Series(basis, rng.standard_normal(201))
+    q = ts.Series(basis, rng.standard_normal(201))
+    ts.recurrence_coefficients(basis, 1024)
+    tracemalloc.start()
+    try:
+        ts.product(p, q)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 33e6
 
 
 def test_band_store_memory_is_bounded():

@@ -219,7 +219,8 @@ def test_recurrence_users_match_the_step_loops_byte_for_byte(family):
     for i, j in [(126, 135), (7, 3), (0, 0), (40, 135), (130, 1), (2, 2), (129, 130)]:
         table.row(i, j)
     climbs = {}
-    for (k, j), (idx, vals) in table._cache.items():
+    for k, j in list(table._cache):
+        idx, vals = table.row(k, j)
         if j not in climbs:
             climbs[j] = references.linearization_climb(ts.BasisSpec(name), j)
         assert idx.tobytes() == climbs[j][k][0].tobytes()
