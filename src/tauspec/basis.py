@@ -164,14 +164,17 @@ def recurrence_coefficients(basis: BasisSpec, n: int):
 def cached_block(basis: BasisSpec, key: str, n: int, build) -> np.ndarray:
     """Read-only leading n x n block of a matrix cached on the family.
 
-    ``build(basis, size)`` makes the matrix at a given size.  Its leading
-    blocks must not depend on that size, so one cached matrix serves
-    every smaller working size.
+    ``build(basis, size, old)`` makes the matrix at a given size.  Its
+    leading blocks must not depend on that size, so one cached matrix
+    serves every smaller working size.  ``old`` is the smaller block held
+    so far, or None: a builder may copy the entries it already holds
+    instead of computing them again.  The size at least doubles on each
+    regrow, so such copies stay amortized.
     """
     fam = _FAMILIES[basis.family]
     mat = fam.blocks.get(key)
     if mat is None or mat.shape[0] < n:
-        mat = build(basis, max(n, 0 if mat is None else 2 * mat.shape[0]))
+        mat = build(basis, max(n, 0 if mat is None else 2 * mat.shape[0]), mat)
         mat.flags.writeable = False
         fam.blocks[key] = mat
     return mat[:n, :n]

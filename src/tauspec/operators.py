@@ -149,7 +149,7 @@ def power_to_basis_matrix(basis: BasisSpec, n: int) -> np.ndarray:
     return w
 
 
-def _build_differentiation(basis: BasisSpec, n: int) -> np.ndarray:
+def _build_differentiation(basis: BasisSpec, n: int, old=None) -> np.ndarray:
     alpha, beta, gamma = recurrence_coefficients(basis, n)
 
     def x_minus_beta(d, j):
@@ -174,21 +174,33 @@ def differentiation_matrix(basis: BasisSpec, n: int) -> np.ndarray:
     return cached_block(basis, "differentiation", _check_size(n), _build_differentiation)
 
 
-def _build_integration(basis: BasisSpec, n: int) -> np.ndarray:
+def _build_integration(basis: BasisSpec, n: int, old=None) -> np.ndarray:
     # one extra index so the back substitution sees full derivative data;
     # built here, not read from the cache, so the cache does not double for it
     dn = _build_differentiation(basis, n + 1)
-    alpha = recurrence_coefficients(basis, n)[0]
+    alpha = recurrence_coefficients(basis, n)[0].tolist()
     # P_k at the reference origin; z = -0.0 keeps z - beta_k equal to
     # -beta_k bit for bit, signed zeros included
     p_zero = np.fromiter(_member_values(basis, np.float64(-0.0), n + 1), float, n + 1)
+    rows = list(dn)
+    pivot = dn.diagonal(1)
+    pivots, zeros = pivot.tolist(), -0.0 / pivot
+    # a checkerboard d/dx (exact zeros at even offsets) zeroes every other
+    # entry of each column; those dots would be +0.0, so they are skipped
+    step = 1 if any(row[i % 2 :: 2].any() for i, row in enumerate(rows)) else 2
     out = np.zeros((n, n))
-    for j in range(n):
+    start = 0
+    if old is not None:
+        # columns complete in the old block are copied, not computed again
+        start = old.shape[0] - 1
+        out[: start + 1, :start] = old[:, :start]
+    for j in range(start, n):
         col = np.zeros(j + 2)
         col[j + 1] = alpha[j] / (j + 1)
-        for i in range(j - 1, -1, -1):
-            acc = dn[i, i + 2 : j + 2] @ col[i + 2 :]
-            col[i + 1] = -acc / dn[i, i + 1]
+        if step == 2:
+            col[2 - j % 2 : j + 1 : 2] = zeros[1 - j % 2 : j : 2]
+        for i in range(j - step, -1, -step):
+            col[i + 1] = -rows[i][i + 2 : j + 2].dot(col[i + 2 :]) / pivots[i]
         col[0] = -(col[1:] @ p_zero[1 : j + 2])
         keep = min(n, j + 2)
         out[:keep, j] = col[:keep]
@@ -206,6 +218,17 @@ def integration_matrix(basis: BasisSpec, n: int) -> np.ndarray:
     member needs one coefficient beyond the working size; that entry is
     dropped, which is the only truncation in the construction.  The
     result is a read-only block of the matrix cached on the family.
+
+    Column j needs only the leading j + 2 rows and columns of the
+    differentiation matrix, so when the cache grows from m to a larger
+    size, the complete columns j < m - 1 are copied and the back
+    substitution resumes at column m - 1, whose row-m entry was dropped.
+    When every entry of d/dx at even offset k - i is an exact zero
+    (beta == 0, as for Chebyshev and Legendre), so is every entry at odd
+    offset j + 1 - p of column j: each product of its dot has a zero
+    factor and BLAS sums them from +0.0, so those entries are written as
+    -0.0 / pivot without a dot.  Either way every entry has the bits of
+    one dot per entry, with all entries finite.
     """
     return cached_block(basis, "integration", _check_size(n), _build_integration)
 

@@ -207,7 +207,7 @@ def check_working_size(spec: ProblemSpec) -> None:
     if n < nu + lam:
         raise ValidationError(
             f"n={n} is too small: the method needs n >= conditions + max rhs "
-            f"degree = {nu} + {lam} = {nu + lam}")
+            f"degree = {nu} + {lam} = {nu + lam}", "solve.n")
 
 
 def _validate_spec(spec: ProblemSpec) -> None:
@@ -475,10 +475,10 @@ def _parse_settings(node, where: str, overrides: Mapping) -> SolveSettings:
     n = _doc_int(node, "n", where, None)
     tol = _doc_float(node, "newton_tol", where, 1e-14)
     if not tol > 0:
-        raise ValidationError("newton_tol must be positive", where)
+        raise ValidationError(f"newton_tol must be positive, got {tol}", f"{where}.newton_tol")
     max_iter = _doc_int(node, "max_iter", where, 25)
     if max_iter < 1:
-        raise ValidationError("max_iter must be at least 1", where)
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}", f"{where}.max_iter")
     initial = node.get("initial", "conditions")
     if not isinstance(initial, str):
         # one row of coefficients per unknown, or a single flat row
@@ -489,7 +489,7 @@ def _parse_settings(node, where: str, overrides: Mapping) -> SolveSettings:
     elif initial not in ("conditions", "zero"):
         raise ValidationError(
             f"initial policy must be 'conditions', 'zero', or coefficients, "
-            f"got {initial!r}", where)
+            f"got {initial!r}", f"{where}.initial")
     return SolveSettings(
         n=n, newton_tol=tol, max_iter=max_iter, initial=initial,
         damping=_doc_bool(node, "damping", where))
@@ -806,7 +806,7 @@ def initial_iterate(spec: ProblemSpec) -> dict:
     if policy == "zero":
         return {v: Series(basis, np.zeros(1)) for v in spec.variables}
     if policy != "conditions":
-        raise ValidationError(f"unknown initial policy {policy!r}")
+        raise ValidationError(f"unknown initial policy {policy!r}", "solve.initial")
     out = {}
     for v in spec.variables:
         conds = _single_var_conditions(spec, v)

@@ -102,6 +102,24 @@ def differentiation_matrix(basis, n):
     return d
 
 
+def integration_matrix(basis, n):
+    """Antiderivative matrix by back substitution, one dot per entry."""
+    dn = differentiation_matrix(basis, n + 1)
+    alpha = ts.recurrence_coefficients(basis, n)[0]
+    p_zero = np.fromiter(member_values(basis, np.float64(-0.0), n + 1), float, n + 1)
+    out = np.zeros((n, n))
+    for j in range(n):
+        col = np.zeros(j + 2)
+        col[j + 1] = alpha[j] / (j + 1)
+        for i in range(j - 1, -1, -1):
+            acc = dn[i, i + 2 : j + 2] @ col[i + 2 :]
+            col[i + 1] = -acc / dn[i, i + 1]
+        col[0] = -(col[1:] @ p_zero[1 : j + 2])
+        keep = min(n, j + 2)
+        out[:keep, j] = col[:keep]
+    return out
+
+
 # -- callers of the step -----------------------------------------------------
 
 

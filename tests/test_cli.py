@@ -195,6 +195,13 @@ def test_unknown_problem_exits_one(capsys):
     assert "unknown problem" in err
 
 
+def test_out_of_range_tolerance_exits_one_at_its_entry(capsys):
+    code, out, err = run(capsys, "solve", "example1", "--tol", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: solve.newton_tol: ")
+
+
 def test_bad_json_exits_one(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{nope")

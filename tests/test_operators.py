@@ -185,6 +185,37 @@ def test_calculus_matrices_do_not_depend_on_call_order(family):
         assert build(ts.BasisSpec(family), 20).tobytes() == first
 
 
+# beta != 0, so no entry of d/dx is an exact zero above the diagonal
+SKEWED = "SkewedBands"
+INTEGRATION_RECURRENCES = {**RECURRENCES, SKEWED: lambda j: (0.5, 0.25 / (j + 1), 0.5)}
+
+
+@pytest.mark.parametrize("family", [*FAMILIES, SKEWED])
+def test_integration_matrix_bytes_match_the_back_substitution(family):
+    """Any size, grown in any order, has the bytes of one dot per entry.
+
+    Chebyshev and Legendre skip the dots of the checkerboard's zeros,
+    SkewedBands takes every dot.  Each size and each growth order starts
+    on a freshly registered family, so the cache grows from its first
+    block; the orders grow from one column, from a block whose last
+    column was cut, and shrink after the largest size.
+    """
+    name = f"Integration{family}"
+    ts.register_family(name, INTEGRATION_RECURRENCES[family])
+    basis = ts.BasisSpec(name, (0.0, 1.0))
+    want = {}
+    for n in (1, 2, 3, 17, 64, 300):
+        ts.register_family(name, INTEGRATION_RECURRENCES[family])
+        want[n] = references.integration_matrix(basis, n).tobytes()
+        assert ts.integration_matrix(basis, n).tobytes() == want[n]
+    for order in ([5, 17, 40, 130, 300], [300, 5, 17, 40, 130], [1, 2, 3, 4, 100]):
+        ts.register_family(name, INTEGRATION_RECURRENCES[family])
+        for n in order:
+            if n not in want:
+                want[n] = references.integration_matrix(basis, n).tobytes()
+            assert ts.integration_matrix(basis, n).tobytes() == want[n], (order, n)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_recurrence_users_match_the_step_loops_byte_for_byte(family):
     """Every user of the shared three term step gives the bytes of its own loop.

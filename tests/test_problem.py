@@ -486,6 +486,22 @@ def test_working_size_check():
     ts.parse_problem(doc, n=11)
 
 
+@pytest.mark.parametrize("solve, location, message", [
+    ({"n": 8, "newton_tol": 0}, "solve.newton_tol", "newton_tol must be positive"),
+    ({"n": 8, "newton_tol": -1e-10}, "solve.newton_tol", "newton_tol must be positive"),
+    ({"n": 8, "max_iter": 0}, "solve.max_iter", "max_iter must be at least 1"),
+    ({"n": 8, "initial": "bogus"}, "solve.initial", "initial policy must be"),
+    ({"n": 2}, "solve.n", "n=2 is too small"),
+])
+def test_out_of_range_settings_are_named_at_their_entry(solve, location, message):
+    doc = _doc(solve=solve)
+    doc["equations"][0]["rhs"] = {"basis": "orthogonal", "coeffs": [0.0, 0.0, 1.0]}
+    with pytest.raises(ts.ValidationError, match=message) as info:
+        ts.parse_problem(doc)
+    assert info.value.location == location
+    assert str(info.value).startswith(f"{location}: ")
+
+
 def test_lower_limit_must_be_inside_domain():
     doc = _doc()
     doc["equations"][0]["terms"].append(
