@@ -239,16 +239,9 @@ def _recurrence(basis: BasisSpec, first, x_minus_beta, count: int):
     multiplication matrix acting on columns, or any other action.  This is
     the only place the step P_{j+1} = ((X - beta_j) P_j - gamma_j P_{j-1}) /
     alpha_j is written; it finishes in place on what the action returned.
-    A Python float ``first`` (one point) runs the step on Python floats
-    and lists of the recurrence arrays: the same IEEE operations in the
-    same order as on numpy scalars, at a fraction of their cost per step.
     """
     alpha, _, gamma = recurrence_coefficients(basis, count)
-    if type(first) is float:
-        alpha, gamma, prev = alpha.tolist(), gamma.tolist(), 0.0
-    else:
-        prev = np.zeros_like(first)
-    curr = first
+    prev, curr = np.zeros_like(first), first
     for j in range(count):
         yield curr
         if j + 1 < count:
@@ -259,17 +252,9 @@ def _recurrence(basis: BasisSpec, first, x_minus_beta, count: int):
 
 
 def _member_values(basis: BasisSpec, z, count: int):
-    """Yield P_0(z), ..., P_{count-1}(z) on the reference interval.
-
-    A Python float z yields Python floats; numpy scalars and arrays yield
-    numpy values of their shape.
-    """
+    """Yield P_0(z), ..., P_{count-1}(z) on the reference interval, of the shape of z."""
     beta = recurrence_coefficients(basis, count)[1]
-    if type(z) is float:
-        beta, first = beta.tolist(), 1.0
-    else:
-        first = np.ones_like(z)
-    return _recurrence(basis, first, lambda p, j: (z - beta[j]) * p, count)
+    return _recurrence(basis, np.ones_like(z), lambda p, j: (z - beta[j]) * p, count)
 
 
 def _member_sum(p, members):
@@ -288,7 +273,7 @@ def _point_rows(basis: BasisSpec, x: np.ndarray, count: int) -> np.ndarray:
     """Read-only P*_0(x), ..., P*_{m-1}(x) for some m >= count, kept on the family.
 
     Row j holds P*_j at every entry of x.  The rows are the values of
-    ``_member_values``, on Python floats for a 0-d x, and are kept under
+    ``_member_values``, for a 0-d x as for an array, and are kept under
     the domain and the shape and bytes of x, so -0.0 and 0.0 are two
     points.  A longer request recomputes at double the length; the step
     runs forward, so the longer rows start with the same bits.  The
@@ -304,13 +289,9 @@ def _point_rows(basis: BasisSpec, x: np.ndarray, count: int) -> np.ndarray:
     size = max(count, 2 * have)
     if size * x.nbytes > POINT_BUDGET:
         size = count
-    if x.ndim == 0:
-        z = basis.c1 * float(x) + basis.c2
-        rows = np.fromiter(_member_values(basis, z, size), float, size)
-    else:
-        rows = np.empty((size,) + x.shape)
-        for j, pj in enumerate(_member_values(basis, basis.c1 * x + basis.c2, size)):
-            rows[j] = pj
+    rows = np.empty((size,) + x.shape)
+    for j, pj in enumerate(_member_values(basis, basis.c1 * x + basis.c2, size)):
+        rows[j] = pj
     rows.flags.writeable = False
     if rows.nbytes <= POINT_BUDGET:
         if have:
@@ -448,10 +429,10 @@ class LinearizationTable:
             climb = enumerate(_recurrence(
                 self._basis, e_j, _j_minus_beta(self._basis, width), j + 1))
             self._climbs[j] = climb
-            self._cover(j + 1)
         k, curr = next(climb)
         if k == j:  # rows past k = j are never asked for
             del self._climbs[j]
+        self._cover(k + 1, j + 1)
         idx = np.nonzero(curr[:, 0])[0]
         lo, hi = self._size, self._size + idx.size
         if hi > self._idx.size:
@@ -464,21 +445,26 @@ class LinearizationTable:
     def _reserve(self, size: int) -> None:
         """Grow ``_idx`` and ``_val`` to ``size`` entries, with new views for ``row``."""
         lo = self._size
-        self._idx, self._val = _grown(self._idx[:lo], size), _grown(self._val[:lo], size)
+        self._idx, self._val = _grown(self._idx[:lo], (size,)), _grown(self._val[:lo], (size,))
         self._views = self._idx.view(), self._val.view()
         for view in self._views:
             view.flags.writeable = False
 
-    def _cover(self, width: int) -> None:
-        """Grow ``_start`` and ``_count`` to hold the climbs j < width."""
-        if width > self._start.shape[0]:
-            size = max(width, 2 * self._start.shape[0])
-            self._start, self._count = _grown(self._start, size), _grown(self._count, size)
+    def _cover(self, depth: int, width: int) -> None:
+        """Grow ``_start`` and ``_count`` to hold the rows k < depth of the climbs j < width.
+
+        Each axis at least doubles when it grows, on its own need alone.
+        """
+        have = self._start.shape
+        if depth > have[0] or width > have[1]:
+            shape = tuple(size if need <= size else max(need, 2 * size)
+                          for need, size in zip((depth, width), have))
+            self._start, self._count = _grown(self._start, shape), _grown(self._count, shape)
 
 
-def _grown(arr: np.ndarray, size: int) -> np.ndarray:
-    """Zeros of ``size`` along every axis of ``arr``, with ``arr`` in the leading corner."""
-    out = np.zeros((size,) * arr.ndim, dtype=arr.dtype)
+def _grown(arr: np.ndarray, shape: tuple) -> np.ndarray:
+    """Zeros of ``shape``, with ``arr`` in the leading corner."""
+    out = np.zeros(shape, dtype=arr.dtype)
     out[tuple(slice(0, s) for s in arr.shape)] = arr
     return out
 
@@ -571,7 +557,7 @@ def product(p: Series, q: Series) -> Series:
     cols = np.flatnonzero(deepest)
     for j, i in zip(deepest[cols].tolist(), cols.tolist()):
         table.row(j, i)  # stores climb i through every pair of column i
-    table._cover(hi)  # the index arrays span live, though its last columns may hold no pair
+    table._cover(m, hi)  # the index arrays span live, though its last columns may hold no pair
     sizes = table._count[1:m, :hi][live]  # the pairs in (j, i) order
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     shifts = table._start[1:m, :hi][live] - bounds[:-1]

@@ -561,18 +561,9 @@ def _aux_initial(term: TermSpec, spec: ProblemSpec, aux: str):
     if term.augment_initial is not None:
         return term.augment_initial
     known = _point_values(spec)
-    points = []
-    for (v, o, x), _ in known.items():
-        if x not in points:
-            points.append(x)
-    for x in points:
-        vals = []
-        for v, o in term.factors:
-            val = known.get((v, o, x))
-            if val is None:
-                break
-            vals.append(val)
-        else:
+    for x in dict.fromkeys(x for _, _, x in known):
+        vals = [known.get((v, o, x)) for v, o in term.factors]
+        if None not in vals:
             return (x, float(np.prod(vals)))
     raise ValidationError(
         f"cannot determine the initial value of auxiliary variable {aux!r} "
@@ -760,14 +751,6 @@ def linearize(spec: ProblemSpec, iterate: Mapping) -> ProblemSpec:
 # initial iterate
 
 
-def _single_var_conditions(spec: ProblemSpec, var: str) -> list[ConditionSpec]:
-    out = []
-    for cond in spec.conditions:
-        if cond.terms and all(t.var == var for t in cond.terms):
-            out.append(cond)
-    return out
-
-
 def _initial_rows(spec: ProblemSpec) -> list | None:
     """Explicit starting rows, one per unknown in solve order, or None for a named policy.
 
@@ -809,7 +792,8 @@ def initial_iterate(spec: ProblemSpec) -> dict:
         raise ValidationError(f"unknown initial policy {policy!r}", "solve.initial")
     out = {}
     for v in spec.variables:
-        conds = _single_var_conditions(spec, v)
+        conds = [cond for cond in spec.conditions
+                 if cond.terms and all(t.var == v for t in cond.terms)]
         q = len(conds)
         if q == 0:
             out[v] = Series(basis, np.zeros(1))

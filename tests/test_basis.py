@@ -553,6 +553,21 @@ def test_cold_product_table_memory_is_bounded():
     assert held <= 33e6
 
 
+def test_table_index_arrays_grow_by_each_axis_alone():
+    """Shallow rows of many climbs keep the index arrays shallow.
+
+    Rows (j, i) with j <= 3 and i < 2051 need 4 rows of 2051 climbs in
+    ``_start`` and ``_count``: about 0.26 MB after doubling the climbs'
+    axis.  Grown square, to 4096 x 4096, the two arrays would take 268 MB.
+    """
+    table = ts.LinearizationTable(ts.LEGENDRE)
+    for i in range(2051):
+        for j in range(min(i, 3) + 1):
+            table.row(j, i)
+    assert table._start.nbytes + table._count.nbytes < 1e6
+    assert table._start.shape == table._count.shape
+
+
 def test_band_store_memory_is_bounded():
     """The band store at the width of a thin product at N_CAP stays small.
 

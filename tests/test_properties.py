@@ -4,13 +4,13 @@ The Newton sweep shares one product per unordered pair of frozen factors
 between the exact defect and the linearization, which is only
 byte-identical to multiplying in the written order if product(p, q) and
 product(q, p) agree bitwise.  The product's one ordered scatter, its
-scaled copy for a constant factor and the one-point evaluation on Python
-floats give the bytes of the plain loops they replaced.  Differentiation
-undoes integration on every column the antiderivative keeps.  A problem
-whose exact solution is a polynomial below the working size is solved
-exactly by the tau method, up to rounding, whatever its polynomial
-coefficients and kernels; when it is nonlinear, Newton gets there from a
-nearby start.
+scaled copy for a constant factor and the one-point evaluation give the
+bytes of the plain loops they replaced.  Differentiation undoes
+integration on every column the antiderivative keeps.  A problem or a
+system whose exact solution is polynomial below the working size is
+solved exactly by the tau method, up to rounding, whatever its polynomial
+coefficients, kernels and couplings; when it is nonlinear, Newton gets
+there from a nearby start.
 """
 
 import numpy as np
@@ -140,22 +140,22 @@ def test_product_oracles_agree_exactly():
 # -- manufactured linear problems ---------------------------------------------
 
 
-def _power_kernel(draw) -> np.ndarray:
-    """k[i, j] of x^i t^j, up to degree 2 in each variable, entries in [-0.25, 0.25]."""
-    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+def _power_kernel(draw, size=3) -> np.ndarray:
+    """k[i, j] of x^i t^j, i, j < size, entries in [-0.25, 0.25]."""
+    rows, cols = draw(st.integers(1, size)), draw(st.integers(1, size))
     return 0.25 * np.array(draw(st.lists(
         st.lists(UNIT, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
 
 
-def _kernel_image(kernel, u, upper) -> np.ndarray:
-    """Power coefficients of x -> integral from 0 to upper(x) of K(x, t) u(t) dt.
+def _kernel_image(kernel, u, upper, lower=0.0) -> np.ndarray:
+    """Power coefficients of x -> integral from lower to upper(x) of K(x, t) u(t) dt.
 
     ``upper`` is None for the variable limit x, else the fixed limit.
     """
     out = np.zeros(1)
     for i, row in enumerate(kernel):
         for j, kij in enumerate(row):
-            prim = P.polyint(P.polymul(np.eye(j + 1)[j], u), lbnd=0.0)
+            prim = P.polyint(P.polymul(np.eye(j + 1)[j], u), lbnd=lower)
             if upper is None:
                 piece = P.polymul(np.eye(i + 1)[i], prim)
             else:
@@ -272,3 +272,132 @@ def test_manufactured_nonlinear_problems_converge_from_a_nearby_start(case):
     exact = P.polyval(grid, u)
     got = ts.evaluate(sol["y"], grid)
     assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+# -- manufactured systems -------------------------------------------------------
+
+
+WEIGHT = st.floats(-0.5, 0.5)
+
+
+def _exact_polynomial(draw, length) -> np.ndarray:
+    """Power coefficients of degree 0 to 6 in x / L, with a constant term of 1 to 2."""
+    degree = draw(st.integers(0, 6))
+    u = np.array(draw(st.lists(UNIT, min_size=degree + 1, max_size=degree + 1)))
+    u[0] = 1.0 + abs(u[0])
+    return u / length ** np.arange(degree + 1)
+
+
+def _other(draw, names, i) -> int:
+    """The index of an unknown other than the i-th."""
+    return draw(st.sampled_from([k for k in range(len(names)) if k != i]))
+
+
+@st.composite
+def manufactured_system(draw, nonlinear=False):
+    """A system of 2 or 3 unknowns on [0, L], and the power coefficients of its solution.
+
+    Equation i holds the derivative of order d_i of y_i, and three
+    couplings to other unknowns, each with a weight of at most 0.5: a
+    derivative of order at most that unknown's own d_k, a Volterra
+    integral from a drawn lower limit and a Fredholm integral, with
+    kernels of up to 2 x 2.  Each unknown has one condition per order
+    below its d_i, at a drawn point; some of them also weigh, first, a
+    derivative of another unknown up to its d_k at a point, and so name
+    y_i in ``attach_to``.  (A higher derivative of y_k at a point is not
+    bounded by the problem: its rounding error grows like n^(2 order).)  The
+    solutions u_i are polynomials of degree below n / 2, and each f_i
+    follows from them in exact numpy polynomial algebra.
+
+    ``nonlinear`` adds w y1 y2 to the first equation, which then has
+    d_1 >= 1, and a Volterra integral of y1 y2 to the last; Newton starts
+    from the basis coefficients of the u_i, each moved by a relative 1e-3.
+    """
+    length = draw(st.floats(0.5, 1.0))
+    names = [f"y{i + 1}" for i in range(draw(st.integers(2, 3)))]
+    exact = [_exact_polynomial(draw, length) for _ in names]
+    orders = [draw(st.integers(1 if nonlinear and i == 0 else 0, 2)) for i in range(len(names))]
+    top = max(u.size for u in exact) - 1
+    n = 2 * top + draw(st.integers(8, 16))
+    equations, conditions = [], []
+    for i, name in enumerate(names):
+        rhs = P.polyder(exact[i], orders[i])
+        terms = [{"var": name, "deriv": orders[i]}]
+        k = _other(draw, names, i)
+        order, c = draw(st.integers(0, orders[k])), draw(WEIGHT)
+        terms.append({"var": names[k], "deriv": order, "coeff": c})
+        rhs = P.polyadd(rhs, c * P.polyder(exact[k], order))
+        k, c = _other(draw, names, i), draw(WEIGHT)
+        kernel, lower = _power_kernel(draw, 2), draw(st.floats(0.0, length))
+        terms.append({"var": names[k], "coeff": c,
+                      "volterra": {"kernel": kernel.tolist(), "lower": lower}})
+        rhs = P.polyadd(rhs, c * _kernel_image(kernel, exact[k], None, lower))
+        k, c, kernel = _other(draw, names, i), draw(WEIGHT), _power_kernel(draw, 2)
+        terms.append({"var": names[k], "coeff": c, "fredholm": {"kernel": kernel.tolist()}})
+        rhs = P.polyadd(rhs, c * _kernel_image(kernel, exact[k], length))
+        equations.append({"terms": terms, "rhs": rhs})
+        for r in range(orders[i]):
+            x = draw(st.floats(0.0, length))
+            cond = {"terms": [{"var": name, "point": x, "deriv": r}],
+                    "value": P.polyval(x, P.polyder(exact[i], r))}
+            if draw(st.booleans()):
+                k, c = _other(draw, names, i), draw(WEIGHT)
+                at, order = draw(st.floats(0.0, length)), draw(st.integers(0, orders[k]))
+                cond["terms"].insert(0, {"var": names[k], "point": at, "deriv": order, "weight": c})
+                cond["value"] += c * P.polyval(at, P.polyder(exact[k], order))
+                cond["attach_to"] = name
+            conditions.append(dict(cond, value=float(cond["value"])))
+    family = draw(st.sampled_from(FAMILIES))
+    solve = {"n": n}
+    if nonlinear:
+        both = P.polymul(exact[0], exact[1])
+        w, v = draw(WEIGHT), draw(WEIGHT)
+        kernel = _power_kernel(draw, 2)
+        factors = [{"var": "y1"}, {"var": "y2"}]
+        equations[0]["terms"].append({"product": {"factors": factors, "weight": w}})
+        equations[0]["rhs"] = P.polyadd(equations[0]["rhs"], w * both)
+        equations[-1]["terms"].append({"product": {"factors": factors, "weight": v},
+                                       "volterra": {"kernel": kernel.tolist(), "lower": 0.0}})
+        equations[-1]["rhs"] = P.polyadd(equations[-1]["rhs"], v * _kernel_image(kernel, both, None))
+        basis = ts.BasisSpec(family, (0.0, length))
+        solve["initial"] = []
+        for u in exact:
+            start = ts.from_power_series(basis, u)
+            moves = draw(st.lists(UNIT, min_size=start.size, max_size=start.size))
+            solve["initial"].append((start * (1.0 + 1e-3 * np.array(moves))).tolist())
+    for eq in equations:
+        eq["rhs"] = {"basis": "power", "coeffs": eq["rhs"].tolist()}
+    doc = {
+        "basis": {"family": family, "domain": [0.0, length]},
+        "variables": names,
+        "equations": equations,
+        "conditions": conditions,
+        "solve": solve,
+    }
+    return doc, exact
+
+
+def _system_error(doc, exact, sol) -> float:
+    """Largest error over the unknowns on a grid, as a share of the largest exact value."""
+    grid = np.linspace(0.0, doc["basis"]["domain"][1], 101)
+    values = [P.polyval(grid, u) for u in exact]
+    errors = [np.max(np.abs(ts.evaluate(sol[name], grid) - want))
+              for name, want in zip(doc["variables"], values)]
+    return max(errors) / max(np.max(np.abs(want)) for want in values)
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(case=manufactured_system())
+def test_manufactured_linear_systems_are_solved_exactly(case):
+    doc, exact = case
+    sol = ts.solve(ts.parse_problem(doc))
+    assert _system_error(doc, exact, sol) <= 1e-12
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(case=manufactured_system(nonlinear=True))
+def test_manufactured_nonlinear_systems_converge_from_a_nearby_start(case):
+    doc, exact = case
+    sol = ts.solve(ts.parse_problem(doc))
+    assert sol.converged
+    assert _system_error(doc, exact, sol) <= 1e-12
