@@ -199,8 +199,7 @@ class Series:
 
     @property
     def degree(self) -> int:
-        nz = np.nonzero(self.coeffs)[0]
-        return int(nz[-1]) if nz.size else 0
+        return max(_support(self.coeffs) - 1, 0)
 
     def __call__(self, xs):
         return evaluate(self, xs)
@@ -224,11 +223,6 @@ def _owned(basis: BasisSpec, arr: np.ndarray) -> Series:
     s = Series.__new__(Series)
     s.basis, s.coeffs = basis, _frozen(arr)
     return s
-
-
-def _check_same_basis(p: Series, q: Series) -> None:
-    if p.basis != q.basis:
-        raise ValueError(f"basis mismatch: {p.basis} vs {q.basis}")
 
 
 def _recurrence(basis: BasisSpec, first, x_minus_beta, count: int):
@@ -445,7 +439,7 @@ class LinearizationTable:
     def _reserve(self, size: int) -> None:
         """Grow ``_idx`` and ``_val`` to ``size`` entries, with new views for ``row``."""
         lo = self._size
-        self._idx, self._val = _grown(self._idx[:lo], (size,)), _grown(self._val[:lo], (size,))
+        self._idx, self._val = _padded(self._idx[:lo], size), _padded(self._val[:lo], size)
         self._views = self._idx.view(), self._val.view()
         for view in self._views:
             view.flags.writeable = False
@@ -466,6 +460,13 @@ def _grown(arr: np.ndarray, shape: tuple) -> np.ndarray:
     """Zeros of ``shape``, with ``arr`` in the leading corner."""
     out = np.zeros(shape, dtype=arr.dtype)
     out[tuple(slice(0, s) for s in arr.shape)] = arr
+    return out
+
+
+def _padded(a: np.ndarray, width: int) -> np.ndarray:
+    """A new 1-D array of ``width`` entries and a's dtype: a, cut or padded with zeros."""
+    out = np.zeros(width, dtype=a.dtype)
+    out[: a.size] = a[:width]
     return out
 
 
@@ -534,12 +535,10 @@ def product(p: Series, q: Series) -> Series:
     chunk of at most (n + 1)^2 entries, so every coefficient sums the
     same terms in the same order as the pair loop, bit for bit.
     """
-    _check_same_basis(p, q)
+    if p.basis != q.basis:
+        raise ValueError(f"basis mismatch: {p.basis} vs {q.basis}")
     n = max(p.coeffs.size, q.coeffs.size) - 1
-    a = np.zeros(n + 1)
-    a[: p.coeffs.size] = p.coeffs
-    b = np.zeros(n + 1)
-    b[: q.coeffs.size] = q.coeffs
+    a, b = _padded(p.coeffs, n + 1), _padded(q.coeffs, n + 1)
     sa, sb = _support(a), _support(b)
     m, hi = max(min(sa, sb), 1), max(sa, sb)
     c = np.zeros(2 * n + 1)

@@ -248,26 +248,21 @@ def cmd_plotdata(args) -> int:
     sol = solve(spec)
     a, b = spec.basis.domain
     grid = np.linspace(a, b, grid_size)
-
-    def write(f):
-        writer = csv.writer(f, lineterminator="\n")
-        if exact:
-            names = [v for v in sol.spec.variables if v in exact]
-            writer.writerow(["x"] + [f"abs_error_{v}" for v in names])
-            cols = [
-                np.abs(evaluate(sol.series[v], grid)
-                       - np.asarray(exact[v](grid), dtype=float))
-                for v in names]
-        else:
-            f.write("# no reference solution; columns are equation residuals\n")
-            names = list(range(len(sol.residual.defect_series)))
-            writer.writerow(["x"] + [f"residual_eq{e}" for e in names])
-            cols = [np.abs(evaluate(_through_support(d), grid))
-                    for d in sol.residual.defect_series]
-        for i, x in enumerate(grid):
-            writer.writerow(["%.17g" % x] + ["%.17g" % c[i] for c in cols])
-
-    _emit(args.out, write)
+    note = ""
+    if exact:
+        names = [v for v in sol.spec.variables if v in exact]
+        columns = ["x"] + [f"abs_error_{v}" for v in names]
+        cols = [
+            np.abs(evaluate(sol.series[v], grid)
+                   - np.asarray(exact[v](grid), dtype=float))
+            for v in names]
+    else:
+        note = "# no reference solution; columns are equation residuals\n"
+        defects = sol.residual.defect_series
+        columns = ["x"] + [f"residual_eq{e}" for e in range(len(defects))]
+        cols = [np.abs(evaluate(_through_support(d), grid)) for d in defects]
+    rows = [dict(zip(columns, values)) for values in zip(grid, *cols)]
+    _emit(args.out, lambda f: (f.write(note), render_rows(rows, columns, "csv", f)))
     return 0 if sol.converged else 2
 
 

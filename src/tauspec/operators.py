@@ -28,6 +28,7 @@ from .basis import (
     _member_values,
     _mul_x_matrix,
     _owned,
+    _padded,
     _recurrence,
     _through_support,
     basis_row,
@@ -319,13 +320,12 @@ def volterra_operator(store: WorkingSize, kernel: KernelPoly, lower: float) -> n
     k = _clipped_kernel(store, kernel)
     basis, n = store.basis, store.n
     nx, nt = k.shape
-    os = integration_matrix(basis, n) / basis.c1
+    os = store.power(-1)
     row_lo = basis_row(basis, lower, n)
     pm = store.members(max(nx, nt))
     acc = np.zeros((n, n))
     for j, pj in enumerate(pm[:nt]):
-        col = np.zeros(n)
-        col[:nx] = k[:, j]
+        col = _padded(k[:, j], n)
         if not col.any():
             continue
         b = _member_sum(k[:, j], pm) - np.outer(col, row_lo)
@@ -345,8 +345,7 @@ def fredholm_operator(store: WorkingSize, kernel: KernelPoly) -> np.ndarray:
     basis, n = store.basis, store.n
     nx, nt = k.shape
     a_dom, b_dom = basis.domain
-    os = integration_matrix(basis, n) / basis.c1
-    r = (basis_row(basis, b_dom, n) - basis_row(basis, a_dom, n)) @ os
+    r = (basis_row(basis, b_dom, n) - basis_row(basis, a_dom, n)) @ store.power(-1)
     acc = np.zeros((n, n))
     for j, pj in enumerate(store.members(nt)):
         v = r @ pj
@@ -392,9 +391,7 @@ def series_antiderivative(series: Series) -> Series:
     """
     n = series.coeffs.size
     om = integration_matrix(series.basis, n + 1)
-    padded = np.zeros(n + 1)
-    padded[:n] = series.coeffs
-    return _owned(series.basis, (om @ padded) / series.basis.c1)
+    return _owned(series.basis, (om @ _padded(series.coeffs, n + 1)) / series.basis.c1)
 
 
 def apply_order(series: Series, order: int) -> Series:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import BasisSpec, Series, basis_row, product
+from .basis import BasisSpec, Series, _padded, _support, basis_row, product
 from .errors import ValidationError
 from . import operators as ops
 
@@ -186,9 +186,7 @@ class NewtonState:
 
 
 def _rhs_degree(rhs) -> int:
-    arr = np.atleast_1d(np.asarray(rhs, dtype=float))
-    nz = np.nonzero(arr)[0]
-    return int(nz[-1]) if nz.size else 0
+    return max(_support(np.asarray(rhs, dtype=float)) - 1, 0)
 
 
 def check_working_size(spec: ProblemSpec) -> None:
@@ -719,8 +717,7 @@ def linearize(spec: ProblemSpec, iterate: Mapping) -> ProblemSpec:
     equations = []
     for eq in spec.equations:
         terms = list(eq.linear)
-        rhs = np.zeros(max(len(eq.rhs), n))
-        rhs[: len(eq.rhs)] = eq.rhs
+        rhs = _padded(np.asarray(eq.rhs, dtype=float), max(len(eq.rhs), n))
         for term in eq.products:
             (weight,), p = term.coeff, len(term.factors)
             for i, factor in enumerate(term.factors):

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .basis import Series, _through_support, basis_row, evaluate, product
+from .basis import Series, _padded, _through_support, basis_row, evaluate, product
 from .errors import (
     ConvergenceWarning,
     SingularSystemError,
@@ -67,6 +67,7 @@ __all__ = [
 
 RESIDUAL_GRID = 257
 PIVOT_FLOOR = 1e3
+STALL_FLOOR = 256 * np.finfo(float).eps  # an update that stopped falling this low is rounding
 
 
 @dataclass
@@ -293,13 +294,6 @@ def _apply_term_exact(term, frozen: FrozenIterate) -> Series:
     return product(Series(s.basis, np.asarray(term.coeff)), s)
 
 
-def _padded(a: np.ndarray, width: int) -> np.ndarray:
-    """A new array of the given length: a, cut or padded with zeros."""
-    out = np.zeros(width)
-    out[: min(width, a.size)] = a[:width]
-    return out
-
-
 def _accumulate(total: np.ndarray | None, s: Series) -> np.ndarray:
     if total is None:
         return np.array(s.coeffs)
@@ -403,7 +397,8 @@ def solve(spec: ProblemSpec) -> TauSolution:
     Linear problems are assembled and solved exactly once.  Nonlinear
     problems iterate from the configured starting iterate until the
     largest coefficient update falls under newton_tol relative to the
-    iterate size, or max_iter is reached; running out of sweeps returns
+    iterate size, or stops falling at the rounding level STALL_FLOOR
+    relative to it, or max_iter is reached; running out of sweeps returns
     the best iterate with ``converged`` False rather than raising, and so
     does a singular sweep right after the defect grew (divergence).
     The exact defects of every candidate are evaluated once and serve the
@@ -426,7 +421,7 @@ def solve(spec: ProblemSpec) -> TauSolution:
         iterate = initial_iterate(spec)
         newton = []
         converged = False
-        prev_res = np.inf
+        prev_res = prev_update = np.inf
         grew = False
         for k in range(1, spec.settings.max_iter + 1):
             try:
@@ -454,9 +449,11 @@ def solve(spec: ProblemSpec) -> TauSolution:
             iterate = candidate
             grew = res > prev_res
             prev_res = res
-            if update <= tol * max(1.0, _max_abs(iterate.values())):
+            scale = max(1.0, _max_abs(iterate.values()))
+            if update <= tol * scale or prev_update <= update <= STALL_FLOOR * scale:
                 converged = True
                 break
+            prev_update = update
         else:
             warnings.warn(
                 f"Newton did not meet tol={tol:g} within "

@@ -181,6 +181,20 @@ def per_column_volterra_operator(kernel, lower, n):
     return acc
 
 
+def fredholm_operator(kernel, n):
+    """Fredholm operator with the antiderivative divided by c1 on every call."""
+    basis = kernel.basis
+    k = kernel.coeffs[:n, :n]
+    nx, nt = k.shape
+    a_dom, b_dom = basis.domain
+    os = ts.integration_matrix(basis, n) / basis.c1
+    r = (ts.basis_row(basis, b_dom, n) - ts.basis_row(basis, a_dom, n)) @ os
+    acc = np.zeros((n, n))
+    for j, pj in enumerate(basis_member_matrices(basis, n, nt)):
+        acc[:nx] += np.outer(k[:, j], r @ pj)
+    return acc
+
+
 # -- exact integral images and the residual, on every coefficient -------------
 
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import tauspec as ts
-from tauspec.cli import main, render_rows
+from tauspec.basis import _through_support
+from tauspec.cli import BUILTINS, load_document, main, render_rows
 
 
 def run(capsys, *argv):
@@ -170,6 +171,48 @@ def test_plotdata_residual_fallback(tmp_path, capsys):
     assert out.startswith("# no reference solution")
     rows = list(csv.reader(io.StringIO(out.split("\n", 1)[1])))
     assert rows[0] == ["x", "residual_eq0"]
+
+
+def _csv_by_hand(header, grid, cols) -> str:
+    """plotdata's rows as its own csv.writer once wrote them, every float as %.17g."""
+    f = io.StringIO()
+    writer = csv.writer(f, lineterminator="\n")
+    writer.writerow(header)
+    for i, x in enumerate(grid):
+        writer.writerow(["%.17g" % x] + ["%.17g" % c[i] for c in cols])
+    return f.getvalue()
+
+
+def test_plotdata_error_bytes_match_the_hand_written_rows(capsys):
+    code, out, _ = run(capsys, "plotdata", "example1", "--grid", "33")
+    assert code == 0
+    sol = ts.solve(ts.parse_problem(load_document("example1")[1]))
+    grid = np.linspace(0.0, 1.0, 33)
+    exact = BUILTINS["example1"]["exact"]
+    cols = [np.abs(ts.evaluate(sol[v], grid) - exact[v](grid)) for v in ("y", "y2")]
+    assert out == _csv_by_hand(["x", "abs_error_y", "abs_error_y2"], grid, cols)
+
+
+def test_plotdata_residual_bytes_match_the_hand_written_rows(tmp_path, capsys):
+    doc = {
+        "basis": {"family": "ChebyshevT", "domain": [0.0, 1.0]},
+        "variables": ["y"],
+        "equations": [{"terms": [
+            {"var": "y", "deriv": 1}, {"var": "y", "coeff": -1.0},
+            {"var": "y", "coeff": 0.5,
+             "volterra": {"kernel": [[1.0, 0.5], [0.25, 0.0]], "lower": 0.0}}], "rhs": 1.0}],
+        "conditions": [{"terms": [{"var": "y", "point": 0.0}], "value": 1.0}],
+        "solve": {"n": 24},
+    }
+    path = tmp_path / "volterra.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "plotdata", str(path), "--grid", "33")
+    assert code == 0
+    sol = ts.solve(ts.parse_problem(doc))
+    grid = np.linspace(0.0, 1.0, 33)
+    cols = [np.abs(ts.evaluate(_through_support(d), grid)) for d in sol.residual.defect_series]
+    assert out == ("# no reference solution; columns are equation residuals\n"
+                   + _csv_by_hand(["x", "residual_eq0"], grid, cols))
 
 
 def test_problem_from_path(tmp_path, capsys):
@@ -443,6 +486,38 @@ def test_singular_first_newton_sweep_exits_three(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(path))
     assert code == 3
     assert "singular" in err
+
+
+# y1' = 0 and y2'' + 0.5 * integral of 0.25 y1 y2 from 0 to x = f on [0, 1],
+# solved by (1, 1 + x^6): the Newton update stalls near 2e-14, above
+# newton_tol times the iterate's scale of 1.23
+ROUNDING_STALL = {
+    "basis": {"family": "ChebyshevT", "domain": [0, 1]}, "variables": ["y1", "y2"],
+    "equations": [
+        {"terms": [{"var": "y1", "deriv": 1}], "rhs": 0.0},
+        {"terms": [{"var": "y2", "deriv": 2},
+                   {"product": {"factors": [{"var": "y1"}, {"var": "y2"}], "weight": 0.5},
+                    "volterra": {"kernel": [[0.25]], "lower": 0.0}}],
+         "rhs": {"basis": "power", "coeffs": [0, 0.125, 0, 0, 30, 0, 0, 0.017857142857142856]}}],
+    "conditions": [
+        {"terms": [{"var": "y1", "point": 0}], "value": 1},
+        {"terms": [{"var": "y2", "point": 0}], "value": 1},
+        {"terms": [{"var": "y1", "point": 0, "deriv": 2, "weight": 0.5},
+                   {"var": "y2", "point": 0, "deriv": 1}], "value": 0, "attach_to": "y2"}],
+    "solve": {"n": 22},
+}
+
+
+def test_update_stalled_at_rounding_level_converges(tmp_path, capsys):
+    path = tmp_path / "stall.json"
+    path.write_text(json.dumps(ROUNDING_STALL))
+    code, out, _ = run(capsys, "solve", str(path))
+    assert code == 0
+    assert "converged: yes" in out
+    sol = ts.solve(ts.parse_problem(ROUNDING_STALL))
+    assert sol.converged and len(sol.newton) <= 6
+    grid = np.linspace(0.0, 1.0, 201)
+    assert max(ts.error_vs_exact(sol, grid, [np.ones_like(grid), 1.0 + grid ** 6]).values()) < 1e-14
 
 
 def test_usage_error_exits_one(capsys):

@@ -333,6 +333,29 @@ def test_volterra_operator_bytes_match_per_column_build(family):
             assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("family", [*FAMILIES, SKEWED])
+def test_fredholm_operator_bytes_match_the_per_call_antiderivative(family):
+    """The store's antiderivative changes no bit of the Fredholm operator.
+
+    The reference divides the integration matrix by c1 on every call and
+    keeps its -0.0 entries; both domains have c1 != 1.  Each kernel with
+    two t-columns or more has an all-zero one.
+    """
+    name = f"Fredholm{family}"
+    ts.register_family(name, INTEGRATION_RECURRENCES[family])
+    rng = np.random.default_rng(47)
+    for domain in [(0.0, 1.0), (-1.0, 2.0)]:
+        basis = ts.BasisSpec(name, domain)
+        for n in (1, 2, 17, 64, 130):
+            k = rng.standard_normal((min(n, 4), min(n, 6)))
+            if k.shape[1] > 1:
+                k[:, k.shape[1] // 2] = 0.0
+            kernel = ts.KernelPoly(basis, k)
+            got = ts.fredholm_operator(ts.WorkingSize(basis, n), kernel)
+            want = references.fredholm_operator(kernel, n)
+            assert got.tobytes() == want.tobytes(), (domain, n)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_a_shared_member_store_changes_no_bit(family):
     """Operators read from one store, in any order, match lone calls byte for byte."""

@@ -13,6 +13,8 @@ coefficients, kernels and couplings; when it is nonlinear, Newton gets
 there from a nearby start.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -293,9 +295,25 @@ def _other(draw, names, i) -> int:
     return draw(st.sampled_from([k for k in range(len(names)) if k != i]))
 
 
+# The bare product that each nonlinear kind of system adds to its first
+# equation, as (unknown index, order) factors, and the least d_1 it allows.
+PRODUCTS = {
+    "pair": (((0, 0), (1, 0)), 1),
+    "triple": (((0, 0), (1, 0), (2, 0)), 1),
+    "derivative": (((0, 1), (1, 0)), 2),
+    "antiderivative": (((0, -1), (1, 0)), 1),
+    "augmented": (((0, 0), (1, 0)), 1),
+}
+
+
+def _factor_polynomial(u, order, length) -> np.ndarray:
+    """Power coefficients of a factor: u differentiated, or its antiderivative vanishing at L / 2."""
+    return P.polyint(u, lbnd=length / 2) if order < 0 else P.polyder(u, order)
+
+
 @st.composite
-def manufactured_system(draw, nonlinear=False):
-    """A system of 2 or 3 unknowns on [0, L], and the power coefficients of its solution.
+def manufactured_system(draw, product=None):
+    """A system of 2 to 4 unknowns on [0, L], and the power coefficients of its solution.
 
     Equation i holds the derivative of order d_i of y_i, and three
     couplings to other unknowns, each with a weight of at most 0.5: a
@@ -309,16 +327,22 @@ def manufactured_system(draw, nonlinear=False):
     solutions u_i are polynomials of degree below n / 2, and each f_i
     follows from them in exact numpy polynomial algebra.
 
-    ``nonlinear`` adds w y1 y2 to the first equation, which then has
-    d_1 >= 1, and a Volterra integral of y1 y2 to the last; Newton starts
-    from the basis coefficients of the u_i, each moved by a relative 1e-3.
+    ``product``, a key of PRODUCTS, makes the system nonlinear: the first
+    equation gains w times its bare product (y1 y2, y1 y2 y3 with solutions
+    of degree below n / 3, y1' y2 with d_1 = 2, or (integral of y1) y2, the
+    antiderivative that vanishes at L / 2), with d_1 >= 1, and the last a
+    Volterra integral of y1 y2.  "augmented" marks that integral for
+    augmentation, its auxiliary unknown pinned at a drawn point.  Newton
+    starts from the basis coefficients of every unknown's exact solution,
+    each moved by a relative 1e-3.
     """
     length = draw(st.floats(0.5, 1.0))
-    names = [f"y{i + 1}" for i in range(draw(st.integers(2, 3)))]
+    factors, low = PRODUCTS[product] if product else ((), 0)
+    count = draw(st.integers(max(2, len(factors)), 4))
+    names = [f"y{i + 1}" for i in range(count)]
     exact = [_exact_polynomial(draw, length) for _ in names]
-    orders = [draw(st.integers(1 if nonlinear and i == 0 else 0, 2)) for i in range(len(names))]
+    orders = [draw(st.integers(low if i == 0 else 0, 2)) for i in range(count)]
     top = max(u.size for u in exact) - 1
-    n = 2 * top + draw(st.integers(8, 16))
     equations, conditions = [], []
     for i, name in enumerate(names):
         rhs = P.polyder(exact[i], orders[i])
@@ -348,20 +372,31 @@ def manufactured_system(draw, nonlinear=False):
                 cond["attach_to"] = name
             conditions.append(dict(cond, value=float(cond["value"])))
     family = draw(st.sampled_from(FAMILIES))
+    # n covers the conditions and every right-hand side degree (at most the
+    # products' degree plus 3), with solutions of degree below n / max(2, factors)
+    n = max(2, len(factors)) * top + len(conditions) + draw(st.integers(4, 12))
     solve = {"n": n}
-    if nonlinear:
-        both = P.polymul(exact[0], exact[1])
+    if product:
         w, v = draw(WEIGHT), draw(WEIGHT)
+        bare = [_factor_polynomial(exact[k], order, length) for k, order in factors]
+        equations[0]["terms"].append({"product": {
+            "factors": [{"var": names[k], "order": order} for k, order in factors], "weight": w}})
+        equations[0]["rhs"] = P.polyadd(equations[0]["rhs"], w * functools.reduce(P.polymul, bare))
+        both = P.polymul(exact[0], exact[1])
         kernel = _power_kernel(draw, 2)
-        factors = [{"var": "y1"}, {"var": "y2"}]
-        equations[0]["terms"].append({"product": {"factors": factors, "weight": w}})
-        equations[0]["rhs"] = P.polyadd(equations[0]["rhs"], w * both)
-        equations[-1]["terms"].append({"product": {"factors": factors, "weight": v},
-                                       "volterra": {"kernel": kernel.tolist(), "lower": 0.0}})
+        enclosed = {"product": {"factors": [{"var": "y1"}, {"var": "y2"}], "weight": v},
+                    "volterra": {"kernel": kernel.tolist(), "lower": 0.0}}
+        starts = list(exact)
+        if product == "augmented":
+            at = draw(st.floats(0.0, length))
+            enclosed.update(augment=True,
+                            augment_initial={"point": at, "value": float(P.polyval(at, both))})
+            starts.append(both)  # the auxiliary unknown y1 y2 comes last in solve order
+        equations[-1]["terms"].append(enclosed)
         equations[-1]["rhs"] = P.polyadd(equations[-1]["rhs"], v * _kernel_image(kernel, both, None))
         basis = ts.BasisSpec(family, (0.0, length))
         solve["initial"] = []
-        for u in exact:
+        for u in starts:
             start = ts.from_power_series(basis, u)
             moves = draw(st.lists(UNIT, min_size=start.size, max_size=start.size))
             solve["initial"].append((start * (1.0 + 1e-3 * np.array(moves))).tolist())
@@ -395,9 +430,19 @@ def test_manufactured_linear_systems_are_solved_exactly(case):
 
 
 @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@hypothesis.given(case=manufactured_system(nonlinear=True))
+@hypothesis.given(case=manufactured_system("pair"))
 def test_manufactured_nonlinear_systems_converge_from_a_nearby_start(case):
     doc, exact = case
+    sol = ts.solve(ts.parse_problem(doc))
+    assert sol.converged
+    assert _system_error(doc, exact, sol) <= 1e-12
+
+
+@pytest.mark.parametrize("product", ["triple", "derivative", "antiderivative", "augmented"])
+@hypothesis.settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@hypothesis.given(data=st.data())
+def test_manufactured_product_systems_converge_from_a_nearby_start(product, data):
+    doc, exact = data.draw(manufactured_system(product))
     sol = ts.solve(ts.parse_problem(doc))
     assert sol.converged
     assert _system_error(doc, exact, sol) <= 1e-12
