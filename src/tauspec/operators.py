@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .basis import (
     BasisSpec,
@@ -175,36 +176,59 @@ def differentiation_matrix(basis: BasisSpec, n: int) -> np.ndarray:
     return cached_block(basis, "differentiation", _check_size(n), _build_differentiation)
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot of each row of ``a`` with the same row of ``b``.
+
+    The stacked (m, 1, d) @ (m, d, 1) product makes one BLAS ddot per row
+    over the two rows where they lie, the call ``ndarray.dot`` makes for
+    one pair of contiguous slices, so each dot keeps its bits.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def _build_integration(basis: BasisSpec, n: int, old=None) -> np.ndarray:
     # one extra index so the back substitution sees full derivative data;
     # built here, not read from the cache, so the cache does not double for it
     dn = _build_differentiation(basis, n + 1)
-    alpha = recurrence_coefficients(basis, n)[0].tolist()
+    alpha = recurrence_coefficients(basis, n)[0]
     # P_k at the reference origin; z = -0.0 keeps z - beta_k equal to
     # -beta_k bit for bit, signed zeros included
     p_zero = np.fromiter(_member_values(basis, np.float64(-0.0), n + 1), float, n + 1)
-    rows = list(dn)
     pivot = dn.diagonal(1)
-    pivots, zeros = pivot.tolist(), -0.0 / pivot
-    # a checkerboard d/dx (exact zeros at even offsets) zeroes every other
-    # entry of each column; those dots would be +0.0, so they are skipped
-    step = 1 if any(row[i % 2 :: 2].any() for i, row in enumerate(rows)) else 2
-    out = np.zeros((n, n))
+    zeros = -0.0 / pivot
+    # a checkerboard d/dx (exact zeros at even offsets) zeroes the entries
+    # at odd anti-diagonals; those dots would be +0.0, so they are skipped
+    checkerboard = not any(dn.diagonal(k).any() for k in range(0, n + 1, 2))
+    # seg[i, k] = dn[i, i + 2 + k]: one row plus one column per step down;
+    # the entries read stay inside row i
+    seg = as_strided(dn[0, 2:], (max(n - 1, 0),) * 2,
+                     (dn.strides[0] + dn.strides[1], dn.strides[1]), writeable=False)
+    # row j of work holds column j right-aligned: entry j + 1 - d at work[j, n - d],
+    # so anti-diagonal d is column n - d and reads the d columns right of it;
+    # cols[j, p] is entry p of column j, and past its end the zeros left of row j + 1
+    work = np.zeros((n, n + 1))
+    cols = as_strided(work[0, n - 1 :], (n, n), (work.strides[0] - work.strides[1], work.strides[1]))
     start = 0
     if old is not None:
         # columns complete in the old block are copied, not computed again
         start = old.shape[0] - 1
-        out[: start + 1, :start] = old[:, :start]
+        cols[:start, : start + 1] = old[:, :start].T
+    work[start:, n] = alpha[start:] / np.arange(start + 1, n + 1)
+    # anti-diagonal by anti-diagonal: entry j + 1 - d of every column j >= d at
+    # once, each its own ddot over the slices that one dot per entry takes
+    for d in range(1, n):
+        j0 = max(d, start)
+        rows = slice(j0 - d, n - d)
+        if checkerboard and d % 2:
+            work[j0:, n - d] = zeros[rows]
+        else:
+            work[j0:, n - d] = -_row_dots(seg[rows, :d], work[j0:, n - d + 1 :]) / pivot[rows]
     for j in range(start, n):
-        col = np.zeros(j + 2)
-        col[j + 1] = alpha[j] / (j + 1)
-        if step == 2:
-            col[2 - j % 2 : j + 1 : 2] = zeros[1 - j % 2 : j : 2]
-        for i in range(j - step, -1, -step):
-            col[i + 1] = -rows[i][i + 2 : j + 2].dot(col[i + 2 :]) / pivots[i]
-        col[0] = -(col[1:] @ p_zero[1 : j + 2])
-        keep = min(n, j + 2)
-        out[:keep, j] = col[:keep]
+        work[j, n - 1 - j] = -(work[j, n - j :] @ p_zero[1 : j + 2])
+    # the output takes the buffer of d/dx, which nothing reads any more, so
+    # no third n x n array is made
+    out = dn.reshape(-1)[: n * n].reshape(n, n)
+    out[...] = cols.T
     return out
 
 
@@ -220,16 +244,29 @@ def integration_matrix(basis: BasisSpec, n: int) -> np.ndarray:
     dropped, which is the only truncation in the construction.  The
     result is a read-only block of the matrix cached on the family.
 
+    Entry p = j + 1 - d of column j lies on anti-diagonal d.  It is
+
+        -(D[i, i+2 : j+2] . col_j[i+2 : j+2]) / D[i, i+1],   i = j - d,
+
+    D the differentiation matrix at n + 1, and reads only entries of the
+    same column at smaller d.  So the back substitution runs over d =
+    1, ..., n - 1, and one batched call per d makes the dot of that entry
+    for every column j >= d at once; the value at the origin, the
+    constant entry p = 0, is one dot per column at the end.  The batched
+    call is one BLAS ddot per column over the same two contiguous slices
+    that a dot per entry takes, and the negation and the division are
+    elementwise IEEE operations, so every entry keeps the bits of one dot
+    per entry, with all entries finite.
+
     Column j needs only the leading j + 2 rows and columns of the
     differentiation matrix, so when the cache grows from m to a larger
     size, the complete columns j < m - 1 are copied and the back
     substitution resumes at column m - 1, whose row-m entry was dropped.
     When every entry of d/dx at even offset k - i is an exact zero
     (beta == 0, as for Chebyshev and Legendre), so is every entry at odd
-    offset j + 1 - p of column j: each product of its dot has a zero
-    factor and BLAS sums them from +0.0, so those entries are written as
-    -0.0 / pivot without a dot.  Either way every entry has the bits of
-    one dot per entry, with all entries finite.
+    d: each product of its dot has a zero factor and BLAS sums them from
+    +0.0, so those entries are written as -0.0 / pivot without a dot, and
+    a build makes about n / 2 batched calls instead of n - 1.
     """
     return cached_block(basis, "integration", _check_size(n), _build_integration)
 

@@ -1,5 +1,7 @@
 """Operator matrices against exact rational references."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -198,22 +200,68 @@ def test_integration_matrix_bytes_match_the_back_substitution(family):
     SkewedBands takes every dot.  Each size and each growth order starts
     on a freshly registered family, so the cache grows from its first
     block; the orders grow from one column, from a block whose last
-    column was cut, and shrink after the largest size.
+    column was cut, and shrink after the largest size.  2, 25, 50, 100
+    is the growth of a cold example2 solve.
     """
     name = f"Integration{family}"
     ts.register_family(name, INTEGRATION_RECURRENCES[family])
     basis = ts.BasisSpec(name, (0.0, 1.0))
     want = {}
-    for n in (1, 2, 3, 17, 64, 300):
+
+    def check(n, label):
+        if n not in want:
+            want[n] = references.integration_matrix(basis, n).tobytes()
+        assert ts.integration_matrix(basis, n).tobytes() == want[n], (label, n)
+
+    for n in [*range(1, 65), 255, 256, 257, 300, 513]:
         ts.register_family(name, INTEGRATION_RECURRENCES[family])
-        want[n] = references.integration_matrix(basis, n).tobytes()
-        assert ts.integration_matrix(basis, n).tobytes() == want[n]
-    for order in ([5, 17, 40, 130, 300], [300, 5, 17, 40, 130], [1, 2, 3, 4, 100]):
+        check(n, "cold")
+    for order in ([5, 17, 40, 130, 300], [300, 5, 17, 40, 130], [1, 2, 3, 4, 100],
+                  [2, 25, 50, 100], [17, 34], [130, 260], [300, 5]):
         ts.register_family(name, INTEGRATION_RECURRENCES[family])
         for n in order:
-            if n not in want:
-                want[n] = references.integration_matrix(basis, n).tobytes()
-            assert ts.integration_matrix(basis, n).tobytes() == want[n], (order, n)
+            check(n, order)
+
+
+def test_integration_build_batches_its_dots(monkeypatch):
+    """A cold build at N=300 makes one batched dot call per anti-diagonal.
+
+    One call per entry would be about N**2 / 4 calls; the bound is 2N, and
+    SkewedBands, which skips no dot, needs the most of the three families.
+    """
+    calls = []
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return row_dots(a, b)
+
+    row_dots = ts.operators._row_dots
+    monkeypatch.setattr(ts.operators, "_row_dots", counted)
+    for family in [*FAMILIES, SKEWED]:
+        ts.register_family(f"Batched{family}", INTEGRATION_RECURRENCES[family])
+        calls.clear()
+        ts.integration_matrix(ts.BasisSpec(f"Batched{family}"), 300)
+        assert 0 < len(calls) <= 2 * 300, family
+
+
+def test_cold_integration_build_memory_is_bounded():
+    """A cold build at N=1024 peaks at no more than the one-dot-per-entry build.
+
+    That build, d/dx at N + 1 beside the output, peaked at 16.2 MiB.  The
+    batched build holds d/dx beside its work array and writes the output
+    into the buffer of d/dx; a copy of d/dx or a third matrix fails the
+    bound.
+    """
+    ts.register_family("MemoryChebyshev", RECURRENCES[ts.CHEBYSHEV])
+    basis = ts.BasisSpec("MemoryChebyshev")
+    ts.recurrence_coefficients(basis, 1025)  # the family's arrays are not the build's
+    tracemalloc.start()
+    try:
+        ts.integration_matrix(basis, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16.3 * 2**20
 
 
 @pytest.mark.parametrize("family", FAMILIES)
