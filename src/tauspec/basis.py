@@ -60,11 +60,11 @@ class _Family:
     ``abg`` holds alpha, beta and gamma as rows of one read-only array,
     ``blocks`` the reference-interval matrices whose leading blocks do not
     depend on their size, ``bands`` those of ``_bands`` and ``points`` the
-    member values of ``_point_rows``; all four grow by doubling when a
-    larger size is asked for, and ``points`` drops its oldest entries to
-    stay within POINT_BUDGET bytes.  ``table`` is the shared linearization
-    table.  All five fill on first use.  Registering the name again
-    replaces the object, and with it every cache.
+    member values of ``_point_rows``; all four are rebuilt at double size,
+    never patched, when a larger size is asked for, and ``points`` drops
+    its oldest entries to stay within POINT_BUDGET bytes.  ``table`` is
+    the shared linearization table.  All five fill on first use.
+    Registering the name again replaces the object, and with it every cache.
     """
 
     def __init__(self, name, recurrence):
@@ -80,14 +80,12 @@ class _Family:
     def coefficients(self, n: int):
         have = self.abg.shape[1]
         if n > have:
-            block = np.array([self.recurrence(j) for j in range(have, max(n, 2 * have))],
-                             dtype=float).T
-            zero = np.flatnonzero(block[0] == 0.0)
+            abg = np.array([self.recurrence(j) for j in range(max(n, 2 * have))], dtype=float).T
+            zero = np.flatnonzero(abg[0] == 0.0)
             if zero.size:
-                raise ConfigurationError(
-                    f"family {self.name!r}: alpha_{have + zero[0]} is zero")
-            self.abg = np.concatenate([self.abg, block], axis=1)
-            self.abg.flags.writeable = False
+                raise ConfigurationError(f"family {self.name!r}: alpha_{zero[0]} is zero")
+            abg.flags.writeable = False
+            self.abg = abg
         return self.abg[0, :n], self.abg[1, :n], self.abg[2, :n]
 
 
@@ -164,17 +162,15 @@ def recurrence_coefficients(basis: BasisSpec, n: int):
 def cached_block(basis: BasisSpec, key: str, n: int, build) -> np.ndarray:
     """Read-only leading n x n block of a matrix cached on the family.
 
-    ``build(basis, size, old)`` makes the matrix at a given size.  Its
-    leading blocks must not depend on that size, so one cached matrix
-    serves every smaller working size.  ``old`` is the smaller block held
-    so far, or None: a builder may copy the entries it already holds
-    instead of computing them again.  The size at least doubles on each
-    regrow, so such copies stay amortized.
+    ``build(basis, size)`` makes the matrix at a given size.  Its leading
+    blocks must not depend on that size, so one cached matrix serves every
+    smaller working size.  A larger size rebuilds the matrix at no less
+    than double the size held, so the rebuilds stay amortized.
     """
     fam = _FAMILIES[basis.family]
     mat = fam.blocks.get(key)
     if mat is None or mat.shape[0] < n:
-        mat = build(basis, max(n, 0 if mat is None else 2 * mat.shape[0]), mat)
+        mat = build(basis, max(n, 0 if mat is None else 2 * mat.shape[0]))
         mat.flags.writeable = False
         fam.blocks[key] = mat
     return mat[:n, :n]

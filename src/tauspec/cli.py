@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict, fields
 from importlib import resources
 from pathlib import Path
 
@@ -27,7 +28,7 @@ import numpy as np
 from .basis import _through_support, evaluate
 from .errors import ConfigurationError, SingularSystemError, ValidationError
 from .problem import parse_problem
-from .solver import TauSolution, convergence_study, error_vs_exact, solve
+from .solver import ConvergenceRow, TauSolution, convergence_study, error_vs_exact, solve
 
 BUILTINS = {
     "example1": {
@@ -214,11 +215,8 @@ def cmd_convergence(args) -> int:
     if not ns:
         raise ValidationError("--ns must list at least one working size")
     rows = convergence_study(spec, ns, exact=exact, grid_size=grid_size)
-    payload = [
-        {"n": r.n, "error": r.error, "residual": r.residual,
-         "iterations": r.iterations, "seconds": r.seconds, "failure": r.failure}
-        for r in rows]
-    columns = ["n", "error", "residual", "iterations", "seconds", "failure"]
+    payload = [asdict(r) for r in rows]
+    columns = [f.name for f in fields(ConvergenceRow)]
     _emit(args.out, lambda f: render_rows(payload, columns, args.format, f))
     return 0
 

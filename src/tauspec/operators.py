@@ -151,7 +151,7 @@ def power_to_basis_matrix(basis: BasisSpec, n: int) -> np.ndarray:
     return w
 
 
-def _build_differentiation(basis: BasisSpec, n: int, old=None) -> np.ndarray:
+def _build_differentiation(basis: BasisSpec, n: int) -> np.ndarray:
     alpha, beta, gamma = recurrence_coefficients(basis, n)
 
     def x_minus_beta(d, j):
@@ -186,7 +186,7 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _build_integration(basis: BasisSpec, n: int, old=None) -> np.ndarray:
+def _build_integration(basis: BasisSpec, n: int) -> np.ndarray:
     # one extra index so the back substitution sees full derivative data;
     # built here, not read from the cache, so the cache does not double for it
     dn = _build_differentiation(basis, n + 1)
@@ -208,22 +208,16 @@ def _build_integration(basis: BasisSpec, n: int, old=None) -> np.ndarray:
     # cols[j, p] is entry p of column j, and past its end the zeros left of row j + 1
     work = np.zeros((n, n + 1))
     cols = as_strided(work[0, n - 1 :], (n, n), (work.strides[0] - work.strides[1], work.strides[1]))
-    start = 0
-    if old is not None:
-        # columns complete in the old block are copied, not computed again
-        start = old.shape[0] - 1
-        cols[:start, : start + 1] = old[:, :start].T
-    work[start:, n] = alpha[start:] / np.arange(start + 1, n + 1)
+    work[:, n] = alpha / np.arange(1, n + 1)
     # anti-diagonal by anti-diagonal: entry j + 1 - d of every column j >= d at
     # once, each its own ddot over the slices that one dot per entry takes
     for d in range(1, n):
-        j0 = max(d, start)
-        rows = slice(j0 - d, n - d)
+        rows = slice(0, n - d)
         if checkerboard and d % 2:
-            work[j0:, n - d] = zeros[rows]
+            work[d:, n - d] = zeros[rows]
         else:
-            work[j0:, n - d] = -_row_dots(seg[rows, :d], work[j0:, n - d + 1 :]) / pivot[rows]
-    for j in range(start, n):
+            work[d:, n - d] = -_row_dots(seg[rows, :d], work[d:, n - d + 1 :]) / pivot[rows]
+    for j in range(n):
         work[j, n - 1 - j] = -(work[j, n - j :] @ p_zero[1 : j + 2])
     # the output takes the buffer of d/dx, which nothing reads any more, so
     # no third n x n array is made
@@ -258,10 +252,6 @@ def integration_matrix(basis: BasisSpec, n: int) -> np.ndarray:
     elementwise IEEE operations, so every entry keeps the bits of one dot
     per entry, with all entries finite.
 
-    Column j needs only the leading j + 2 rows and columns of the
-    differentiation matrix, so when the cache grows from m to a larger
-    size, the complete columns j < m - 1 are copied and the back
-    substitution resumes at column m - 1, whose row-m entry was dropped.
     When every entry of d/dx at even offset k - i is an exact zero
     (beta == 0, as for Chebyshev and Legendre), so is every entry at odd
     d: each product of its dot has a zero factor and BLAS sums them from

@@ -54,6 +54,10 @@ def test_zero_alpha_is_rejected():
     ts.register_family("BrokenAt3", lambda j: (0.0 if j == 3 else 1.0, 0.0, 0.0))
     with pytest.raises(ts.ConfigurationError, match="alpha_3"):
         ts.recurrence_coefficients(ts.BasisSpec("BrokenAt3"), 5)
+    # grown: a first fill short of the zero, then a rebuild past it
+    ts.recurrence_coefficients(ts.BasisSpec("BrokenAt3"), 2)
+    with pytest.raises(ts.ConfigurationError, match="alpha_3"):
+        ts.recurrence_coefficients(ts.BasisSpec("BrokenAt3"), 5)
 
 
 def test_import_fills_no_cache():
